@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import serialize as sz
 from .algebra import validate_action, validate_semigroup
@@ -89,36 +91,92 @@ def parse_problem(obj) -> Problem:
     if not isinstance(opts, dict):
         raise SchemaError("options must be an object")
     p.options = opts
+    if p.action is not None and p.semigroup_map is None:
+        # The action indexes the points of the kernel or operator table it acts on.
+        m = p.kernel.m if p.kernel is not None else p.operator_table.shape[0]
+        g = p.semigroup.size if p.semigroup is not None else p.action.table.shape[0]
+        if p.action.table.shape != (g, m):
+            raise SchemaError(f"action table must have shape ({g}, {m}), got {p.action.table.shape}")
+        sz.check_indices(p.action.table, m, "action table")
     return p
 
 
-def _tolerances(p: Problem, override_tol=None) -> dict:
+def _nonnegative_int(v, name: str) -> int:
+    v = sz.int_from_json(v, name)
+    if v < 0:
+        raise SchemaError(f"{name} must be >= 0, got {v}")
+    return v
+
+
+def run_options(p: Problem, seed=None, restarts=None, report_tol=None) -> dict:
+    """Seed, restarts and tolerances of a run; arguments given here override the file's."""
+    o = p.options
     tols = dict(DEFAULT_TOLERANCES)
-    tols.update(p.options.get("tolerances", {}))
-    if override_tol is not None:
-        tols["report"] = override_tol
-    return tols
+    given = o.get("tolerances", {})
+    if not isinstance(given, dict) or not set(given) <= set(tols):
+        raise SchemaError(f"options.tolerances must be an object with keys among {sorted(tols)}")
+    tols.update(given)
+    if report_tol is not None:
+        tols["report"] = report_tol
+    for name, v in tols.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (math.isfinite(v) and v > 0):
+            raise SchemaError(f"tolerance {name!r} must be a finite positive number, got {v!r}")
+    elements = o.get("elements")
+    if elements is not None:
+        if not isinstance(elements, list):
+            raise SchemaError("options.elements must be a list of element indices")
+        elements = [sz.int_from_json(a, "options.elements entry") for a in elements]
+        if p.semigroup is not None and any(not 0 <= a < p.semigroup.size for a in elements):
+            raise SchemaError(f"options.elements out of range 0..{p.semigroup.size - 1}")
+    return {
+        "seed": _nonnegative_int(o.get("seed", 0) if seed is None else seed, "seed"),
+        "restarts": _nonnegative_int(o.get("restarts", 64) if restarts is None else restarts, "restarts"),
+        "tolerances": tols,
+        "elements": elements,
+    }
 
 
-def _effective_kernel_action(p: Problem):
-    """The kernel a task operates on, lifting maps when needed."""
-    if p.kernel is not None:
-        return p.kernel, p.action, None
-    if p.semigroup_map is not None:
-        if p.semigroup is None:
-            raise SchemaError("semigroup_map problems need a 'semigroup' section")
-        lk = lift_semigroup_map(p.semigroup_map, p.semigroup)
+class Artifacts:
+    """The lift, decomposition and representation of one problem, each built at most once.
+
+    Tasks of one run share them; they are dropped with the object when the
+    run ends.
+    """
+
+    def __init__(self, p: Problem, rank_tol: float):
+        self.p = p
+        self.rank_tol = rank_tol
+
+    @cached_property
+    def lifted(self):
+        """``(kernel, action, LiftedKernel or None)``: the kernel every task operates on."""
+        p = self.p
+        if p.kernel is not None:
+            return p.kernel, p.action, None
+        if p.semigroup_map is not None:
+            if p.semigroup is None:
+                raise SchemaError("semigroup_map problems need a 'semigroup' section")
+            lk = lift_semigroup_map(p.semigroup_map, p.semigroup)
+        else:
+            lk = lift_operator_kernel(p.operator_module, p.operator_table, p.action)
         return lk.kernel, lk.action, lk
-    lk = lift_operator_kernel(p.operator_module, p.operator_table, p.action)
-    return lk.kernel, lk.action, lk
+
+    @cached_property
+    def decomposition(self):
+        return build_kolmogorov(self.lifted[0], self.rank_tol)
+
+    @cached_property
+    def representation(self):
+        kernel, action, _ = self.lifted
+        return build_representation(self.decomposition, kernel, self.p.semigroup, action, self.rank_tol)
 
 
-def task_validate(p: Problem, opts) -> tuple[dict, int]:
+def task_validate(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     tols = opts["tolerances"]
     out: dict = {"violations": []}
     if p.semigroup is not None:
         out["violations"] += validate_semigroup(p.semigroup)
-    kernel, action, _ = _effective_kernel_action(p)
+    kernel, action, _ = art.lifted
     if p.semigroup is not None and action is not None:
         out["violations"] += validate_action(p.semigroup, action, kernel.m)
     defect = hermitian_defect_kernel(kernel)
@@ -133,8 +191,8 @@ def task_validate(p: Problem, opts) -> tuple[dict, int]:
     return out, (0 if not out["violations"] else 1)
 
 
-def task_check_positivity(p: Problem, opts) -> tuple[dict, int]:
-    kernel, _, _ = _effective_kernel_action(p)
+def task_check_positivity(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
+    kernel, _, _ = art.lifted
     verdict = weak_positivity(
         kernel, restarts=opts["restarts"], seed=opts["seed"], tol=opts["tolerances"]["structural"]
     )
@@ -147,27 +205,20 @@ def task_check_positivity(p: Problem, opts) -> tuple[dict, int]:
     return out, 2
 
 
-def _decompose(p: Problem, opts):
-    kernel, action, _ = _effective_kernel_action(p)
-    dec = build_kolmogorov(kernel, opts["tolerances"]["rank"])
-    defect = verify_linearisation(dec, kernel)
-    return kernel, action, dec, defect
-
-
-def task_decompose(p: Problem, opts) -> tuple[dict, int]:
-    _, _, dec, defect = _decompose(p, opts)
+def task_decompose(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
+    dec = art.decomposition
+    defect = verify_linearisation(dec, art.lifted[0])
     out = {"decomposition": sz.decomposition_to_json(dec), "linearisation_defect": defect}
     return out, (0 if defect <= opts["tolerances"]["report"] else 1)
 
 
-def task_represent(p: Problem, opts) -> tuple[dict, int]:
+def task_represent(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     if p.semigroup is None:
         raise SchemaError("represent needs a 'semigroup' section")
-    kernel, action, _ = _effective_kernel_action(p)
+    kernel, action, _ = art.lifted
     if action is None:
         raise SchemaError("represent needs an 'action' section")
-    dec = build_kolmogorov(kernel, opts["tolerances"]["rank"])
-    rep = build_representation(dec, kernel, p.semigroup, action, opts["tolerances"]["rank"])
+    dec, rep = art.decomposition, art.representation
     rk = build_rk(dec)
     out = {
         "decomposition": sz.decomposition_to_json(dec),
@@ -178,49 +229,41 @@ def task_represent(p: Problem, opts) -> tuple[dict, int]:
     return out, (0 if worst <= opts["tolerances"]["report"] else 1)
 
 
-def task_bounds(p: Problem, opts) -> tuple[dict, int]:
+def task_bounds(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     if p.semigroup is None:
         raise SchemaError("bounds needs a 'semigroup' section")
-    kernel, action, _ = _effective_kernel_action(p)
+    kernel, action, _ = art.lifted
     if action is None:
         raise SchemaError("bounds needs an 'action' section")
-    elements = p.options.get("elements", list(range(p.semigroup.size)))
+    elements = opts["elements"]
     out = {"bounds": []}
     ok = True
-    for a in elements:
+    for a in range(p.semigroup.size) if elements is None else elements:
         b = bound_constant(
-            kernel, p.semigroup, action, int(a), restarts=opts["restarts"], seed=opts["seed"]
+            kernel, p.semigroup, action, a, restarts=opts["restarts"], seed=opts["seed"]
         )
         out["bounds"].append(sz.bound_to_json(b))
         ok = ok and b.lower <= b.upper + opts["tolerances"]["report"]
     return out, (0 if ok else 1)
 
 
-def task_lift(p: Problem, opts) -> tuple[dict, int]:
-    if p.semigroup_map is not None:
-        if p.semigroup is None:
-            raise SchemaError("semigroup_map problems need a 'semigroup' section")
-        lk = lift_semigroup_map(p.semigroup_map, p.semigroup)
-        inv = is_invariant(lk.kernel, p.semigroup, lk.action, opts["tolerances"]["structural"])
-    elif p.operator_table is not None:
-        lk = lift_operator_kernel(p.operator_module, p.operator_table, p.action)
-        inv = []
-        if p.semigroup is not None and lk.action is not None:
-            inv = is_invariant(lk.kernel, p.semigroup, lk.action, opts["tolerances"]["structural"])
-    else:
+def task_lift(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
+    if p.kernel is not None:
         raise SchemaError("lift needs an operator_kernel or semigroup_map section")
+    _, _, lk = art.lifted
+    inv = []
+    if p.semigroup is not None and lk.action is not None:
+        inv = is_invariant(lk.kernel, p.semigroup, lk.action, opts["tolerances"]["structural"])
     out = {"lifted": sz.lifted_to_json(lk), "invariance_violations": [list(v) for v in inv[:16]]}
     return out, (0 if not inv else 1)
 
 
-def task_factorize(p: Problem, opts) -> tuple[dict, int]:
+def task_factorize(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     if p.semigroup_map is None:
         raise SchemaError("factorize needs a 'semigroup_map' section")
     if p.semigroup is None:
         raise SchemaError("factorize needs a 'semigroup' section")
-    lk = lift_semigroup_map(p.semigroup_map, p.semigroup)
-    dec = build_kolmogorov(lk.kernel, opts["tolerances"]["rank"])
-    rep = build_representation(dec, lk.kernel, p.semigroup, lk.action, opts["tolerances"]["rank"])
+    dec, rep = art.decomposition, art.representation
     residual = verify_factorization(p.semigroup_map, p.semigroup, dec, rep)
     out = {
         "dimension": dec.n,
@@ -248,9 +291,10 @@ _SEVERITY = {0: 0, 2: 1, 1: 2}
 def run_tasks(p: Problem, tasks, opts, with_timings: bool) -> tuple[dict, int]:
     report: dict = {"tasks": {}}
     worst = 0
+    art = Artifacts(p, opts["tolerances"]["rank"])
     for name in tasks:
         started = time.perf_counter()
-        payload, code = TASK_RUNNERS[name](p, opts)
+        payload, code = TASK_RUNNERS[name](p, opts, art)
         if with_timings:
             payload["elapsed_s"] = time.perf_counter() - started
         payload["exit"] = code
@@ -301,13 +345,7 @@ def main(argv=None) -> int:
 
     try:
         problem = parse_problem(raw)
-        opts = {
-            "seed": args.seed if args.seed is not None else int(problem.options.get("seed", 0)),
-            "restarts": args.restarts
-            if args.restarts is not None
-            else int(problem.options.get("restarts", 64)),
-            "tolerances": _tolerances(problem, args.tol),
-        }
+        opts = run_options(problem, args.seed, args.restarts, args.tol)
         tasks = [args.command] if args.command != "all" else (problem.tasks or ["validate"])
         report, code = run_tasks(problem, tasks, opts, with_timings=not args.no_timestamp)
     except WpsdError as exc:

@@ -41,24 +41,19 @@ DEFAULT_RANK_TOL = 1e-8
 class VESpaceRealized:
     """A finite-dimensional function space with a matrix-valued metric.
 
-    ``basis_functions[i]`` is the realised function of basis vector ``i``
-    (an ``(m, d, d)`` array), ``gram`` its metric, and ``pivots`` the points
-    whose kernel columns were selected.
+    Basis vector ``i`` is the kernel column at point ``pivots[i]``; ``gram``
+    is its metric.
     """
 
-    basis_functions: np.ndarray = field()  # (n, m, d, d)
     gram: GramTensor = field()
     pivots: tuple = ()
 
     def __post_init__(self):
-        b = np.asarray(self.basis_functions, dtype=complex)
-        b.flags.writeable = False
-        object.__setattr__(self, "basis_functions", b)
         object.__setattr__(self, "pivots", tuple(int(p) for p in self.pivots))
 
     @property
     def n(self) -> int:
-        return self.basis_functions.shape[0]
+        return self.gram.n
 
 
 @dataclass(frozen=True)
@@ -225,11 +220,7 @@ def build_kolmogorov(
             )
 
     if n == 0:
-        space = VESpaceRealized(
-            np.zeros((0, m, d, d), dtype=complex),
-            GramTensor(np.zeros((0, 0, d, d), dtype=complex)),
-            (),
-        )
+        space = VESpaceRealized(GramTensor(np.zeros((0, 0, d, d), dtype=complex)), ())
         residual = float(np.max(np.abs(C))) if m else 0.0
         return KolmogorovDecomposition(space, np.zeros((m, 0), dtype=complex), residual, k.space, diagnostics)
 
@@ -255,8 +246,7 @@ def build_kolmogorov(
     diagnostics["probe_min"] = float(probe_min)
 
     gram = GramTensor(k.table[np.ix_(pivots, pivots)].copy())
-    basis = k.table[:, pivots].transpose(1, 0, 2, 3).copy()  # basis[i] = k(., p_i)
-    space = VESpaceRealized(basis, gram, tuple(pivots))
+    space = VESpaceRealized(gram, tuple(pivots))
     return KolmogorovDecomposition(space, V, residual, k.space, diagnostics)
 
 
@@ -264,31 +254,47 @@ def verify_linearisation(dec: KolmogorovDecomposition, k: Kernel) -> float:
     """Worst entrywise gap between ``[V(x), V(y)]`` and ``k(x, y)``."""
     if dec.m != k.m:
         raise SchemaError("decomposition and kernel have different point counts")
-    G = dec.space.gram.blocks
-    rebuilt = np.einsum("xi,yj,ijab->xyab", np.conj(dec.V), dec.V, G)
+    rebuilt = gram_pair_coords(dec.space.gram, dec.V.T, dec.V.T)
     return float(np.max(np.abs(rebuilt - k.table))) if k.m else 0.0
 
 
 def gram_pair_coords(G: GramTensor, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """All pairings ``[U[:, i], W[:, j]]`` as an ``(i, j, d, d)`` array."""
-    return np.einsum("ai,bj,abcd->ijcd", np.conj(U), W, G.blocks)
+    """All pairings ``[U[:, i], W[:, j]]`` as an ``(i, j, d, d)`` array.
+
+    Contracted one operand at a time, ``W`` first, as two matrix products.
+    """
+    n, d = G.n, G.d
+    p, q = U.shape[1], W.shape[1]
+    GW = G.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n) @ W  # [(a, c, e), j]
+    out = np.conj(U).T @ GW.reshape(n, d * d * q)  # [i, (c, e, j)]
+    return out.reshape(p, d, d, q).transpose(0, 3, 1, 2)
 
 
-def _representation_defects(matrices, gram: GramTensor, coords, act_table, inv):
-    """Star symmetry and intertwining defects of a matrix family."""
-    g = matrices.shape[0]
-    n = matrices.shape[1]
-    star = 0.0
-    inter = 0.0
-    eye = np.eye(n, dtype=complex)
+def _representation_defects(matrices, gram: GramTensor, coords, act_table, S: StarSemigroup):
+    """Multiplication, star and intertwining defects of a matrix family.
+
+    ``mult`` is the exact spectral norm of ``pi(ab) - pi(a) pi(b)``,
+    maximised over all pairs one row ``a`` at a time, so that no more than
+    ``g x n x n`` entries are held; ``star`` is the entrywise gap in
+    ``[pi(a) e_i, e_j] = [e_i, pi(a*) e_j]``; ``inter`` the coordinate gap in
+    ``pi(a) V(x) = V(a.x)``.
+    """
+    g, n = matrices.shape[0], matrices.shape[1]
+    if n == 0:
+        return 0.0, 0.0, 0.0
+    d = gram.d
+    rows = gram.blocks.reshape(n, n * d * d)  # [a, (j, c, e)]
+    cols = gram.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n)  # [(i, c, e), b]
+    mult = star = inter = 0.0
     for a in range(g):
-        # star: [pi(a) e_i, e_j] vs [e_i, pi(a*) e_j]
-        lhs = gram_pair_coords(gram, matrices[a], eye)
-        rhs = gram_pair_coords(gram, eye, matrices[inv[a]])
-        star = max(star, float(np.max(np.abs(lhs - rhs))) if n else 0.0)
+        gaps = matrices[S.mult[a]] - matrices[a] @ matrices
+        mult = max(mult, float(np.max(np.linalg.norm(gaps, 2, axis=(1, 2)))))
+        lhs = (np.conj(matrices[a]).T @ rows).reshape(n, n, d, d)
+        rhs = (cols @ matrices[S.inv[a]]).reshape(n, d, d, n).transpose(0, 3, 1, 2)
+        star = max(star, float(np.max(np.abs(lhs - rhs))))
         inter_a = matrices[a] @ coords.T - coords[act_table[a]].T
-        inter = max(inter, float(np.max(np.abs(inter_a))) if coords.size else 0.0)
-    return star, inter
+        inter = max(inter, float(np.max(np.abs(inter_a))))
+    return mult, star, inter
 
 
 def build_representation(
@@ -313,20 +319,9 @@ def build_representation(
             violations,
         )
     g = S.size
-    n = dec.n
     pivots = list(dec.space.pivots)
-    mats = np.empty((g, n, n), dtype=complex)
-    for s in range(g):
-        mats[s] = dec.V[A.table[s, pivots], :].T
-
-    G = dec.space.gram
-    mult = 0.0
-    for a in range(g):
-        for b in range(g):
-            gap = mats[S.mult[a, b]] - mats[a] @ mats[b]
-            if n:
-                mult = max(mult, float(np.linalg.norm(gap, 2)))
-    star, inter = _representation_defects(mats, G, dec.V, A.table, S.inv)
+    mats = np.ascontiguousarray(dec.V[A.table[:, pivots]].transpose(0, 2, 1))
+    mult, star, inter = _representation_defects(mats, dec.space.gram, dec.V, A.table, S)
 
     # Push-forward cross-check: transporting a coefficient vector along the
     # action must agree with the matrix acting on its coordinates.
@@ -335,11 +330,13 @@ def build_representation(
     rng = np.random.default_rng(7)
     coeff = rng.standard_normal(k.m) + 1j * rng.standard_normal(k.m)
     cols = _columns(k)
+    basis_cols = cols[:, pivots]
+    coords = dec.V.T @ coeff
     for s in range(g):
         g_s = np.zeros(k.m, dtype=complex)
         np.add.at(g_s, A.table[s], coeff)
         direct = cols @ g_s
-        via_matrix = cols[:, pivots] @ (mats[s] @ (dec.V.T @ coeff))
+        via_matrix = basis_cols @ (mats[s] @ coords)
         push = max(push, float(np.max(np.abs(direct - via_matrix))))
     if push > max(tol * scale * (1.0 + np.linalg.norm(coeff)), 10 * dec.residual * (1.0 + np.linalg.norm(coeff, 1))):
         raise IllDefinedError(
@@ -496,7 +493,7 @@ def unitary_equivalence(
     Ut, *_ = np.linalg.lstsq(dec1.V, dec2.V, rcond=None)
     U = Ut.T
     G1, G2 = dec1.space.gram, dec2.space.gram
-    iso = float(np.max(np.abs(gram_pair_coords(G2, U, U) - gram_pair_coords(G1, np.eye(dec1.n), np.eye(dec1.n))))) if dec1.n else 0.0
+    iso = float(np.max(np.abs(gram_pair_coords(G2, U, U) - G1.blocks))) if dec1.n else 0.0
     inter = float(np.max(np.abs(dec1.V @ U.T - dec2.V))) if dec1.n else 0.0
     scale = 1.0 + (float(np.max(np.abs(G1.blocks))) if dec1.n else 0.0)
     if max(iso, inter) > tol * scale:

@@ -20,12 +20,12 @@ points; any claimed negative witness is re-verified from the raw table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotHermitianError, SchemaError
 from .zspace import (
-    GramTensor,
     ZSpaceDescriptor,
     hermitian_part,
     involution,
@@ -71,6 +71,16 @@ class Kernel:
     def d(self) -> int:
         return self.table.shape[2]
 
+    @cached_property
+    def entry_scale(self) -> float:
+        """1 + the largest operator norm among the table entries.
+
+        Computed on first use and kept: the table is read-only.
+        """
+        if self.m == 0:
+            return 1.0
+        return 1.0 + float(np.linalg.svd(self.table, compute_uv=False).max())
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -99,10 +109,7 @@ class PositivityVerdict:
 
 def entry_scale(k: Kernel) -> float:
     """1 + the largest operator norm among the table entries."""
-    if k.m == 0:
-        return 1.0
-    s = np.linalg.svd(k.table, compute_uv=False)
-    return 1.0 + float(s.max())
+    return k.entry_scale
 
 
 def adjoint_kernel(k: Kernel) -> Kernel:
@@ -354,12 +361,3 @@ def random_block_psd_kernel(m: int, d: int, rank: int, seed: int) -> Kernel:
     table = np.einsum("xra,yrb->xyab", np.conj(F), F)
     space = scalar_space() if d == 1 else ZSpaceDescriptor("hermitian", d)
     return Kernel(space, table)
-
-
-def gram_to_kernel(G: GramTensor, space: ZSpaceDescriptor) -> Kernel:
-    """View a gram tensor as a kernel so the positivity machinery applies."""
-    return Kernel(space, G.blocks.copy())
-
-
-def kernel_max_abs(k: Kernel) -> float:
-    return float(np.max(np.abs(k.table))) if k.m else 0.0

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Action, StarSemigroup, left_translation_action
+from .dilation import gram_pair_coords
 from .errors import (
     HermitianMismatchError,
     NoUnitError,
@@ -213,8 +214,8 @@ def recover_operator_dilation(dec, H: VEModuleH, l: np.ndarray):
     if dec.V.shape[0] != m * dim or l.shape[0] != m:
         raise SchemaError("decomposition size does not match the lifted index set")
     Vt = dec.V.reshape(m, dim, dec.n).transpose(0, 2, 1)  # (m, n, dim)
-    G = dec.space.gram.blocks
-    lhs = np.einsum("xai,ybj,abcd->xiyjcd", np.conj(Vt), Vt, G)
+    dz = dec.space.gram.d
+    lhs = gram_pair_coords(dec.space.gram, dec.V.T, dec.V.T).reshape(m, dim, m, dim, dz, dz)
     target = np.einsum("yxai,ajcd->xiyjcd", np.conj(l), H.gram_tensor())
     return Vt, float(np.max(np.abs(lhs - target)))
 
@@ -283,9 +284,10 @@ def verify_factorization(T: SemigroupMapT, S: StarSemigroup, dec, rep) -> float:
         raise SchemaError("decomposition does not match the lifted index set")
     e = S.unit
     A = dec.V[e * q : (e + 1) * q].T  # (n, q)
-    G = dec.space.gram.blocks
-    PA = np.einsum("tnk,kq->tnq", rep.matrices, A)  # pi(t) A
-    lhs = np.einsum("aj,tbi,abcd->tjicd", np.conj(A), PA, G)
+    n, d = dec.n, T.space.dim
+    PA = (rep.matrices @ A).transpose(1, 0, 2).reshape(n, -1)  # [b, (t, i)] of pi(t) A
+    lhs = gram_pair_coords(dec.space.gram, A, PA)  # [j, (t, i), c, e]
+    lhs = lhs.reshape(q, S.size, q, d, d).transpose(1, 0, 2, 3, 4)
     return float(np.max(np.abs(lhs - T.tensors)))
 
 

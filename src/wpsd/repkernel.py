@@ -19,6 +19,7 @@ from .dilation import (
     StarRepresentation,
     _representation_defects,
     build_representation,
+    gram_pair_coords,
 )
 from .errors import IllDefinedError, InjectivityFailureError, NotInvariantError, SchemaError
 from .kernels import Kernel, entry_scale, is_invariant
@@ -58,6 +59,13 @@ class RKSpace:
         return self.functions.shape[1]
 
 
+def _realise(coords: np.ndarray, G: GramTensor) -> np.ndarray:
+    """Basis functions ``f_i(x) = [k_x, e_i]`` as an ``(n, m, d, d)`` array."""
+    n, d = G.n, G.d
+    paired = np.conj(coords) @ G.blocks.reshape(n, n * d * d)  # [x, (i, c, e)]
+    return paired.reshape(coords.shape[0], n, d, d).transpose(1, 0, 2, 3)
+
+
 def build_rk(dec: KolmogorovDecomposition) -> RKSpace:
     """Realise the reproducing kernel space of a minimal decomposition.
 
@@ -65,9 +73,8 @@ def build_rk(dec: KolmogorovDecomposition) -> RKSpace:
     the same function at tolerance, which signals that the source was not
     minimal at its working tolerance.
     """
-    G = dec.space.gram.blocks
     n = dec.n
-    functions = np.einsum("xa,aicd->ixcd", np.conj(dec.V), G)
+    functions = _realise(dec.V, dec.space.gram)
     if n:
         s = np.linalg.svd(functions.reshape(n, -1), compute_uv=False)
         if s[-1] <= 1e-10 * max(s[0], 1.0):
@@ -79,10 +86,8 @@ def build_rk(dec: KolmogorovDecomposition) -> RKSpace:
 
 def reconstruct_kernel(rk: RKSpace) -> Kernel:
     """The kernel determined by the space: ``k(x, y) = [k_x, k_y]``."""
-    table = np.einsum(
-        "xa,yb,abcd->xycd", np.conj(rk.point_coords), rk.point_coords, rk.gram.blocks
-    )
-    return Kernel(rk.zspace, table)
+    coords = rk.point_coords.T
+    return Kernel(rk.zspace, gram_pair_coords(rk.gram, coords, coords))
 
 
 def verify_reproducing(rk: RKSpace, k: Kernel) -> float:
@@ -93,9 +98,7 @@ def verify_reproducing(rk: RKSpace, k: Kernel) -> float:
     """
     if k.m != rk.m:
         raise SchemaError("kernel and space have different point counts")
-    G = rk.gram.blocks
-    eye = np.eye(rk.n, dtype=complex)
-    paired = np.einsum("xa,bi,abcd->ixcd", np.conj(rk.point_coords), eye, G)
+    paired = _realise(rk.point_coords, rk.gram)
     d1 = float(np.max(np.abs(paired - rk.functions))) if rk.n else 0.0
     d2 = float(np.max(np.abs(reconstruct_kernel(rk).table - k.table))) if k.m else 0.0
     return max(d1, d2)
@@ -129,13 +132,7 @@ def rk_representation(
     for s in range(g):
         sol, *_ = np.linalg.lstsq(coords, coords[A.table[s]], rcond=None)
         mats[s] = sol.T
-
-    mult = 0.0
-    for a in range(g):
-        for b in range(g):
-            if n:
-                mult = max(mult, float(np.linalg.norm(mats[S.mult[a, b]] - mats[a] @ mats[b], 2)))
-    star, inter = _representation_defects(mats, rk.gram, coords, A.table, S.inv)
+    mult, star, inter = _representation_defects(mats, rk.gram, coords, A.table, S)
 
     diagnostics = {}
     if rk.source is not None:

@@ -11,8 +11,40 @@ from .lifts import LiftedKernel, SemigroupMapT, VEModuleH, hilbert_module, matri
 from .zspace import ZSpaceDescriptor
 
 
-def complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+def carray_to_json(a) -> list:
+    """Nested lists of the array's shape with ``[re, im]`` pairs as leaves."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+def int_from_json(v, name: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
+def index_table_from_json(v, ndim: int, name: str) -> np.ndarray:
+    """A rectangular ``ndim``-d table of integers."""
+    try:
+        t = np.asarray(v)
+    except ValueError as exc:
+        raise SchemaError(f"{name} is not a rectangular table") from exc
+    if t.ndim != ndim or (t.size and not np.issubdtype(t.dtype, np.integer)):
+        raise SchemaError(f"{name} must be a {ndim}-d table of integers")
+    return t.astype(np.int64)
+
+
+def check_indices(t: np.ndarray, bound: int, name: str):
+    """Raise ``SchemaError`` unless every entry of ``t`` lies in ``0..bound-1``."""
+    if t.size and (t.min() < 0 or t.max() >= bound):
+        raise SchemaError(f"{name} entries out of range 0..{bound - 1}")
+
+
+def _rows(v, name: str) -> list:
+    if not isinstance(v, list) or not all(isinstance(r, list) for r in v):
+        raise SchemaError(f"{name} must be a list of rows")
+    return v
 
 
 def complex_from_json(v) -> complex:
@@ -22,8 +54,7 @@ def complex_from_json(v) -> complex:
 
 
 def cmatrix_to_json(a: np.ndarray) -> list:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    return [[complex_to_json(x) for x in row] for row in a]
+    return carray_to_json(np.atleast_2d(a))
 
 
 def cmatrix_from_json(rows, shape=None) -> np.ndarray:
@@ -39,7 +70,7 @@ def cmatrix_from_json(rows, shape=None) -> np.ndarray:
 
 
 def cvector_to_json(v: np.ndarray) -> list:
-    return [complex_to_json(x) for x in np.asarray(v, dtype=complex).reshape(-1)]
+    return carray_to_json(np.ravel(v))
 
 
 def space_to_json(space: ZSpaceDescriptor) -> dict:
@@ -49,8 +80,11 @@ def space_to_json(space: ZSpaceDescriptor) -> dict:
 def space_from_json(obj) -> ZSpaceDescriptor:
     if not isinstance(obj, dict):
         raise SchemaError("space must be an object")
+    tol = obj.get("tolerance", 1e-9)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not np.isfinite(tol):
+        raise SchemaError(f"space tolerance must be a finite number, got {tol!r}")
     return ZSpaceDescriptor(
-        obj.get("kind", "scalar"), int(obj.get("dim", 1)), float(obj.get("tolerance", 1e-9))
+        obj.get("kind", "scalar"), int_from_json(obj.get("dim", 1), "space dim"), float(tol)
     )
 
 
@@ -58,7 +92,7 @@ def kernel_to_json(k: Kernel) -> dict:
     return {
         "space": space_to_json(k.space),
         "m": k.m,
-        "table": [[cmatrix_to_json(k.table[x, y]) for y in range(k.m)] for x in range(k.m)],
+        "table": carray_to_json(k.table),
     }
 
 
@@ -67,9 +101,9 @@ def kernel_from_json(obj, space: ZSpaceDescriptor | None = None) -> Kernel:
         raise SchemaError("kernel must be an object with a 'table' field")
     if space is None:
         space = space_from_json(obj.get("space", {}))
-    rows = obj["table"]
-    m = int(obj.get("m", len(rows)))
-    if len(rows) != m or any(len(r) != m for r in rows):
+    rows = _rows(obj["table"], "kernel table")
+    m = len(rows)
+    if obj.get("m", m) != m or any(len(r) != m for r in rows):
         raise SchemaError("kernel table is not m x m")
     d = space.dim
     table = np.zeros((m, m, d, d), dtype=complex)
@@ -91,12 +125,13 @@ def semigroup_to_json(S: StarSemigroup) -> dict:
 def semigroup_from_json(obj) -> StarSemigroup:
     if not isinstance(obj, dict) or "mult" not in obj or "inv" not in obj:
         raise SchemaError("semigroup must be an object with 'mult' and 'inv'")
+    mult = index_table_from_json(obj["mult"], 2, "semigroup mult")
+    inv = index_table_from_json(obj["inv"], 1, "semigroup inv")
+    g = mult.shape[0]
+    check_indices(mult, g, "semigroup mult")
+    check_indices(inv, g, "semigroup inv")
     unit = obj.get("unit")
-    return StarSemigroup(
-        np.asarray(obj["mult"], dtype=np.int64),
-        np.asarray(obj["inv"], dtype=np.int64),
-        None if unit is None else int(unit),
-    )
+    return StarSemigroup(mult, inv, None if unit is None else int_from_json(unit, "unit"))
 
 
 def action_to_json(A: Action) -> dict:
@@ -106,7 +141,8 @@ def action_to_json(A: Action) -> dict:
 def action_from_json(obj) -> Action:
     if not isinstance(obj, dict) or "table" not in obj:
         raise SchemaError("action must be an object with a 'table'")
-    return Action(np.asarray(obj["table"], dtype=np.int64), bool(obj.get("unital", True)))
+    table = index_table_from_json(obj["table"], 2, "action table")
+    return Action(table, bool(obj.get("unital", True)))
 
 
 def witness_to_json(w: Witness | None):
@@ -135,7 +171,7 @@ def decomposition_to_json(dec) -> dict:
     return {
         "n": dec.n,
         "pivots": list(dec.space.pivots),
-        "gram": [[cmatrix_to_json(G.blocks[i, j]) for j in range(G.n)] for i in range(G.n)],
+        "gram": carray_to_json(G.blocks),
         "V": cmatrix_to_json(dec.V),
         "residual": float(dec.residual),
         "diagnostics": {k: _plain(x) for k, x in dec.diagnostics.items()},
@@ -144,7 +180,7 @@ def decomposition_to_json(dec) -> dict:
 
 def representation_to_json(rep) -> dict:
     return {
-        "matrices": [cmatrix_to_json(mat) for mat in rep.matrices],
+        "matrices": carray_to_json(rep.matrices),
         "mult_defect": float(rep.mult_defect),
         "star_defect": float(rep.star_defect),
         "intertwine_defect": float(rep.intertwine_defect),
@@ -175,9 +211,11 @@ def module_from_json(obj) -> VEModuleH:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("module must be an object with a 'kind'")
     if obj["kind"] == "hilbert":
-        return hilbert_module(int(obj["r"]))
+        return hilbert_module(int_from_json(obj.get("r"), "module r"))
     if obj["kind"] == "matrix_module":
-        return matrix_module(int(obj["d"]), int(obj["kcols"]))
+        return matrix_module(
+            int_from_json(obj.get("d"), "module d"), int_from_json(obj.get("kcols"), "module kcols")
+        )
     raise SchemaError(f"unknown module kind {obj['kind']!r}")
 
 
@@ -186,7 +224,7 @@ def operator_kernel_from_json(obj):
     if not isinstance(obj, dict) or "module" not in obj or "table" not in obj:
         raise SchemaError("operator kernel needs 'module' and 'table'")
     H = module_from_json(obj["module"])
-    rows = obj["table"]
+    rows = _rows(obj["table"], "operator table")
     m = len(rows)
     l = np.zeros((m, m, H.dim, H.dim), dtype=complex)
     for x in range(m):
@@ -201,10 +239,7 @@ def semigroup_map_to_json(T: SemigroupMapT) -> dict:
     return {
         "q": T.q,
         "space": space_to_json(T.space),
-        "tensors": [
-            [[cmatrix_to_json(T.tensors[s, i, j]) for j in range(T.q)] for i in range(T.q)]
-            for s in range(T.g)
-        ],
+        "tensors": carray_to_json(T.tensors),
     }
 
 
@@ -212,15 +247,16 @@ def semigroup_map_from_json(obj) -> SemigroupMapT:
     if not isinstance(obj, dict) or "tensors" not in obj:
         raise SchemaError("semigroup map needs a 'tensors' field")
     space = space_from_json(obj.get("space", {}))
-    q = int(obj.get("q", 0))
     raw = obj["tensors"]
+    if not isinstance(raw, list):
+        raise SchemaError("tensors must be a list with one q x q table per element")
     g = len(raw)
-    if q == 0 and g:
-        q = len(raw[0])
+    per_element = [_rows(r, "tensors of one element") for r in raw]
+    q = int_from_json(obj.get("q", 0), "q") or (len(per_element[0]) if g else 0)
     d = space.dim
     tensors = np.zeros((g, q, q, d, d), dtype=complex)
     for s in range(g):
-        if len(raw[s]) != q or any(len(r) != q for r in raw[s]):
+        if len(per_element[s]) != q or any(len(r) != q for r in per_element[s]):
             raise SchemaError("tensors are not q x q per element")
         for i in range(q):
             for j in range(q):

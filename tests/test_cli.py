@@ -159,3 +159,93 @@ def test_mutually_exclusive_inputs(tmp_path):
     prob["semigroup_map"] = {"q": 1, "space": {"kind": "scalar", "dim": 1}, "tensors": []}
     path = write_problem(tmp_path, "p.json", prob)
     assert main(["validate", path]) == 3
+
+
+def _set(path, value):
+    """Mutation of a problem dict: set the entry at ``path`` to ``value``."""
+
+    def mutate(prob):
+        *head, last = path
+        target = prob
+        for key in head:
+            target = target[key]
+        target[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "tasks, mutate",
+    [
+        (["represent"], _set(("semigroup", "mult", 1, 2), 7)),
+        (["bounds"], _set(("action", "table", 1, 0), 5)),
+        (["validate"], _set(("semigroup", "mult", 1), [0, 1])),
+        (["validate"], _set(("kernel", "table"), 5)),
+        (["check-positivity"], _set(("options", "seed"), "abc")),
+        (["validate"], _set(("semigroup", "inv", 0), -1)),
+        (["validate"], _set(("action", "table", 0, 2), 3)),
+        (["check-positivity"], _set(("options", "seed"), -1)),
+        (["check-positivity"], _set(("options", "restarts"), -1)),
+        (["check-positivity"], _set(("options", "restarts"), 2.5)),
+        (["decompose"], _set(("options", "tolerances"), {"rank": 0.0})),
+        (["decompose"], _set(("options", "tolerances"), {"report": float("nan")})),
+        (["decompose"], _set(("options", "tolerances"), {"rank": "1e-8"})),
+        (["decompose"], _set(("options", "tolerances"), {"ranks": 1e-8})),
+        (["bounds"], _set(("options", "elements"), [3])),
+        (["bounds"], _set(("options", "elements"), ["1"])),
+    ],
+    ids=[
+        "mult-out-of-range-represent",
+        "action-out-of-range-bounds",
+        "ragged-mult",
+        "kernel-table-not-a-list",
+        "seed-not-an-integer",
+        "inv-out-of-range-validate",
+        "action-out-of-range-validate",
+        "seed-negative",
+        "restarts-negative",
+        "restarts-not-an-integer",
+        "tolerance-zero",
+        "tolerance-nan",
+        "tolerance-not-a-number",
+        "tolerance-unknown",
+        "element-out-of-range",
+        "element-not-an-integer",
+    ],
+)
+def test_malformed_input_exits_3_without_report(tmp_path, tasks, mutate):
+    prob = circulant_problem(tasks)
+    mutate(prob)
+    path = write_problem(tmp_path, "p.json", prob)
+    out = tmp_path / "report.json"
+    assert main(["all", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
+    import wpsd.cli as cli
+
+    calls = {}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("lift_semigroup_map", "build_kolmogorov", "build_representation"):
+        counted(name)
+    S = cyclic_group(3)
+    T = gram_semigroup_map(S, left_regular_star_rep(S), np.ones((2, 3, 1)))
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "semigroup": sz.semigroup_to_json(S),
+        "semigroup_map": sz.semigroup_map_to_json(T),
+        "tasks": ["validate", "lift", "represent", "factorize"],
+    }
+    path = write_problem(tmp_path, "p.json", prob)
+    assert main(["all", path, "--no-timestamp", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == {"lift_semigroup_map": 1, "build_kolmogorov": 1, "build_representation": 1}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpsd import (
     Action,
@@ -13,17 +15,24 @@ from wpsd import (
     bound_constant,
     build_kolmogorov,
     build_representation,
+    build_rk,
     cyclic_group,
+    gram_semigroup_map,
     hermitian_space,
     idempotent_pair,
+    left_regular_star_rep,
     left_translation_action,
+    lift_semigroup_map,
     linearity_preservation_check,
     random_block_psd_kernel,
+    rk_representation,
     scalar_space,
     unitary_equivalence,
     verify_linearisation,
 )
-from wpsd.dilation import KolmogorovDecomposition
+from wpsd.cli import DEFAULT_TOLERANCES
+from wpsd.dilation import KolmogorovDecomposition, _representation_defects
+from wpsd.zspace import GramTensor
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -309,3 +318,49 @@ def test_dimension_matches_fourier_support(n):
     eig = np.sort_complex(np.linalg.eigvals(rep.matrices[1]))
     expected = np.sort_complex(np.exp(2j * np.pi * support / n))
     np.testing.assert_allclose(eig, expected, atol=1e-9)
+
+
+# ------------------------------------------------------------ law defects
+
+
+def test_batched_mult_defect_equals_pair_loop():
+    # A random family that is not a representation, so every gap is non-zero.
+    rng = np.random.default_rng(11)
+    g, n, m, d = 7, 5, 9, 2
+    S = cyclic_group(g)
+    mats = rng.standard_normal((g, n, n)) + 1j * rng.standard_normal((g, n, n))
+    F = rng.standard_normal((n, 3, d)) + 1j * rng.standard_normal((n, 3, d))
+    gram = GramTensor(np.einsum("ira,jrb->ijab", np.conj(F), F))
+    coords = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    act = rng.integers(0, m, size=(g, m))
+
+    mult, _, _ = _representation_defects(mats, gram, coords, act, S)
+    loop = max(
+        float(np.linalg.norm(mats[S.mult[a, b]] - mats[a] @ mats[b], 2))
+        for a in range(g)
+        for b in range(g)
+    )
+    assert mult > 1.0
+    assert mult == loop
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=st.integers(1, 9),
+    q=st.integers(1, 3),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_representation_laws_on_random_invariant_kernels(g, q, d, seed):
+    # gram_semigroup_map over the left regular representation lifts to an
+    # invariant, Gram-built kernel; both representations must obey the laws.
+    S = cyclic_group(g)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((q, g, d)) + 1j * rng.standard_normal((q, g, d))
+    lk = lift_semigroup_map(gram_semigroup_map(S, left_regular_star_rep(S), B), S)
+    rank_tol, report_tol = DEFAULT_TOLERANCES["rank"], DEFAULT_TOLERANCES["report"]
+    dec = build_kolmogorov(lk.kernel, rank_tol)
+    pi = build_representation(dec, lk.kernel, S, lk.action, rank_tol)
+    rho = rk_representation(build_rk(dec), S, lk.action, rank_tol)
+    for rep in (pi, rho):
+        assert max(rep.mult_defect, rep.star_defect, rep.intertwine_defect) <= report_tol

@@ -78,7 +78,7 @@ def test_empty_space_on_zero_kernel():
 def test_injectivity_failure_on_non_minimal_source():
     # rank-one gram with two basis slots realises two identical functions
     blocks = np.ones((2, 2, 1, 1), dtype=complex)
-    space = VESpaceRealized(np.ones((2, 2, 1, 1), dtype=complex), GramTensor(blocks), (0, 1))
+    space = VESpaceRealized(GramTensor(blocks), (0, 1))
     dec = KolmogorovDecomposition(space, np.eye(2, dtype=complex), 0.0)
     with pytest.raises(InjectivityFailureError):
         build_rk(dec)

@@ -1,0 +1,62 @@
+import json
+
+import numpy as np
+
+from wpsd import (
+    GramTensor,
+    Kernel,
+    KolmogorovDecomposition,
+    SemigroupMapT,
+    StarRepresentation,
+    VESpaceRealized,
+    hermitian_space,
+)
+from wpsd import serialize as sz
+
+
+def per_entry(a):
+    """Reference encoding: one ``[re, im]`` pair per entry, built one entry at a time."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 0:
+        return [float(np.real(a)), float(np.imag(a))]
+    return [per_entry(x) for x in a]
+
+
+def signed_array(shape, rng):
+    """Random complex array with about a quarter of its real and imaginary parts -0.0."""
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    re[rng.random(shape) < 0.25] = -0.0
+    im[rng.random(shape) < 0.25] = -0.0
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def same(encoded, a) -> bool:
+    return json.dumps(encoded) == json.dumps(per_entry(a))
+
+
+def test_vectorised_encoding_matches_per_entry():
+    rng = np.random.default_rng(5)
+    for shape in [(3,), (3, 4), (3, 0), (0, 0), (2, 2, 2, 2)]:
+        a = signed_array(shape, rng)
+        assert same(sz.carray_to_json(a), a)
+        if a.ndim == 1:
+            assert same(sz.cvector_to_json(a), a)
+        if a.ndim == 2:
+            assert same(sz.cmatrix_to_json(a), a)
+
+    table = signed_array((3, 3, 2, 2), rng)
+    assert np.signbit(table.real).any() and np.signbit(table.imag).any()
+    assert same(sz.kernel_to_json(Kernel(hermitian_space(2), table))["table"], table)
+
+    gram, V = signed_array((2, 2, 2, 2), rng), signed_array((3, 2), rng)
+    dec = sz.decomposition_to_json(KolmogorovDecomposition(VESpaceRealized(GramTensor(gram), (0, 1)), V))
+    assert same(dec["gram"], gram) and same(dec["V"], V)
+
+    mats = signed_array((4, 3, 3), rng)
+    assert same(sz.representation_to_json(StarRepresentation(mats))["matrices"], mats)
+
+    tensors = signed_array((4, 2, 2, 2, 2), rng)
+    T = SemigroupMapT(hermitian_space(2), tensors)
+    assert same(sz.semigroup_map_to_json(T)["tensors"], tensors)
