@@ -343,12 +343,14 @@ def main(argv=None) -> int:
         print(f"wpsd: cannot read problem file: {exc}", file=sys.stderr)
         return 3
 
+    from numpy.linalg import LinAlgError
+
     try:
         problem = parse_problem(raw)
         opts = run_options(problem, args.seed, args.restarts, args.tol)
         tasks = [args.command] if args.command != "all" else (problem.tasks or ["validate"])
         report, code = run_tasks(problem, tasks, opts, with_timings=not args.no_timestamp)
-    except WpsdError as exc:
+    except (WpsdError, LinAlgError) as exc:
         print(f"wpsd: {exc}", file=sys.stderr)
         return 3
 

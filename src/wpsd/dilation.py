@@ -31,8 +31,17 @@ from .errors import (
     WeakPositivityError,
     ZeroDenominatorError,
 )
-from .kernels import Kernel, block_matrix, entry_scale, is_hermitian, is_invariant
-from .zspace import GramTensor, ZSpaceDescriptor, hermitian_part
+from .kernels import (
+    Kernel,
+    block_matrix,
+    direction_form,
+    entry_scale,
+    is_hermitian,
+    is_invariant,
+    pair_value,
+    quad_form,
+)
+from .zspace import GramTensor, ZSpaceDescriptor, hermitian_part, pair_coords
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -123,14 +132,13 @@ class BoundEstimate:
     upper: float
     witness_t: np.ndarray | None = None
     witness_h: np.ndarray | None = None
-    p: str = "operator"
-    q: str = "operator"
     diagnostics: dict = field(default_factory=dict)
 
 
 def _columns(k: Kernel) -> np.ndarray:
     """Column matrix ``C[:, x] = flattened k(., x)`` of shape (m*d*d, m)."""
-    return k.table.transpose(1, 0, 2, 3).reshape(k.m, -1).T.copy()
+    m, d = k.m, k.d
+    return k.table.transpose(1, 0, 2, 3).reshape(m, m * d * d).T.copy()
 
 
 def _pivoted_basis(C: np.ndarray, rank_tol: float, pivot_order=None) -> list[int]:
@@ -187,7 +195,7 @@ def build_kolmogorov(
     reported in ``diagnostics['rank_unstable']``, not fatal.
     """
     scale = entry_scale(k)
-    if not is_hermitian(k, 1e-9 * scale if tol is None else tol * scale):
+    if not is_hermitian(k, tol * scale):
         raise NotHermitianError(
             f"kernel Hermitian defect {np.max(np.abs(k.table - k.table.conj().transpose(1, 0, 3, 2))):.3e}"
         )
@@ -205,19 +213,22 @@ def build_kolmogorov(
         alt = _pivoted_basis(C, 10.0 * rank_tol, pivot_order)
         diagnostics["rank_unstable"] = len(alt) != n
 
-    # Per-point probes of the quadratic forms the construction relies on.
-    probe_min = np.inf
-    for x in range(m):
-        lam = float(np.linalg.eigvalsh(hermitian_part(k.table[x, x])).min())
-        probe_min = min(probe_min, lam)
-        if lam < -tol * scale:
-            c = np.zeros(m, dtype=complex)
-            c[x] = 1.0
+    def probe(forms, coeffs, what) -> float:
+        """Least eigenvalue over the forms of the columns of ``coeffs``; raises on a negative one."""
+        lam = np.linalg.eigvalsh(hermitian_part(forms)).min(axis=1)
+        bad = np.flatnonzero(lam < -tol * scale)
+        if bad.size:
+            x = int(bad[0])
             raise WeakPositivityError(
-                f"diagonal value at point {x} has eigenvalue {lam:.3e}",
-                witness=c,
-                value=lam,
+                f"{what} at point {x} has eigenvalue {lam[x]:.3e}",
+                witness=coeffs[:, x].copy(),
+                value=float(lam[x]),
             )
+        return float(lam.min(initial=np.inf))
+
+    # Per-point probes of the quadratic forms the construction relies on.
+    points = np.arange(m)
+    probe_min = probe(k.table[points, points], np.eye(m, dtype=complex), "diagonal value")
 
     if n == 0:
         space = VESpaceRealized(GramTensor(np.zeros((0, 0, d, d), dtype=complex)), ())
@@ -229,21 +240,11 @@ def build_kolmogorov(
     V = W.T
     residual = float(np.max(np.abs(B @ W - C)))
 
-    for x in range(m):
-        c = -V[x].astype(complex)
-        cfull = np.zeros(m, dtype=complex)
-        cfull[list(pivots)] += c
-        cfull[x] += 1.0
-        q = np.einsum("k,j,kjab->ab", np.conj(cfull), cfull, k.table)
-        lam = float(np.linalg.eigvalsh(hermitian_part(q)).min())
-        probe_min = min(probe_min, lam)
-        if lam < -tol * scale:
-            raise WeakPositivityError(
-                f"residual coefficient form at point {x} has eigenvalue {lam:.3e}",
-                witness=cfull,
-                value=lam,
-            )
-    diagnostics["probe_min"] = float(probe_min)
+    # Column x is the residual coefficient vector e_x - sum_i V[x, i] e_{p_i}.
+    R = np.eye(m, dtype=complex)
+    R[pivots] -= W
+    forms = pair_coords(k.table, R, R)[points, points]
+    diagnostics["probe_min"] = min(probe_min, probe(forms, R, "residual coefficient form"))
 
     gram = GramTensor(k.table[np.ix_(pivots, pivots)].copy())
     space = VESpaceRealized(gram, tuple(pivots))
@@ -254,20 +255,8 @@ def verify_linearisation(dec: KolmogorovDecomposition, k: Kernel) -> float:
     """Worst entrywise gap between ``[V(x), V(y)]`` and ``k(x, y)``."""
     if dec.m != k.m:
         raise SchemaError("decomposition and kernel have different point counts")
-    rebuilt = gram_pair_coords(dec.space.gram, dec.V.T, dec.V.T)
+    rebuilt = pair_coords(dec.space.gram.blocks, dec.V.T, dec.V.T)
     return float(np.max(np.abs(rebuilt - k.table))) if k.m else 0.0
-
-
-def gram_pair_coords(G: GramTensor, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """All pairings ``[U[:, i], W[:, j]]`` as an ``(i, j, d, d)`` array.
-
-    Contracted one operand at a time, ``W`` first, as two matrix products.
-    """
-    n, d = G.n, G.d
-    p, q = U.shape[1], W.shape[1]
-    GW = G.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n) @ W  # [(a, c, e), j]
-    out = np.conj(U).T @ GW.reshape(n, d * d * q)  # [i, (c, e, j)]
-    return out.reshape(p, d, d, q).transpose(0, 3, 1, 2)
 
 
 def _representation_defects(matrices, gram: GramTensor, coords, act_table, S: StarSemigroup):
@@ -345,16 +334,17 @@ def build_representation(
     return StarRepresentation(mats, mult, star, inter, {"pushforward_defect": push})
 
 
-def _restricted_pencil_max(num: np.ndarray, den: np.ndarray, rel_tol: float):
+def _restricted_pencil_max(num: np.ndarray, den: np.ndarray, rel_tol: float, den_eig=None):
     """Largest generalized eigenvalue of ``(num, den)`` on the range of ``den``.
 
     ``den`` must be (numerically) PSD; directions with eigenvalue at or
     below ``rel_tol`` times the largest are treated as null and skipped.
-    Returns ``(value, vector)`` or ``None`` when the range is trivial.
+    ``den_eig`` is the ``eigh`` of the Hermitian part of ``den`` when the
+    caller already has it.  Returns ``(value, vector)`` or ``None`` when the
+    range is trivial.
     """
-    den = hermitian_part(den)
     num = hermitian_part(num)
-    w, U = np.linalg.eigh(den)
+    w, U = np.linalg.eigh(hermitian_part(den)) if den_eig is None else den_eig
     lam_max = float(w.max()) if w.size else 0.0
     if lam_max <= 0.0:
         return None
@@ -374,8 +364,6 @@ def bound_constant(
     S: StarSemigroup,
     A: Action,
     alpha: int,
-    p: str = "operator",
-    q: str = "operator",
     restarts: int = 16,
     max_iters: int = 100,
     seed: int = 0,
@@ -392,41 +380,35 @@ def bound_constant(
     eigenvalue of the block matrices' pencil on the range of the
     denominator, a valid domination constant whenever the kernel is
     invariant and weakly positive.  For scalar kernels the two coincide.
-
-    The seminorm tags are recorded for the report; the search itself is the
-    same Rayleigh machinery for every tag pair.
     """
     if not (0 <= alpha < S.size):
         raise SchemaError("element index out of range")
     act = A.table[alpha]
-    table_a = k.table[np.ix_(act, act)]
-    k_a = Kernel(k.space, table_a.copy())
+    k_a = Kernel(k.space, k.table[np.ix_(act, act)])
     scale = entry_scale(k)
     rel = max(tol, 1e-12)
 
-    B = block_matrix(k)
-    B_a = block_matrix(k_a)
-    res = _restricted_pencil_max(B_a, B, rel)
+    B = hermitian_part(block_matrix(k))
+    B_a = hermitian_part(block_matrix(k_a))
+    w_den, U_den = np.linalg.eigh(B)
+    res = _restricted_pencil_max(B_a, B, rel, (w_den, U_den))
     if res is None:
         raise ZeroDenominatorError("all quadratic forms of the kernel vanish")
     upper_sq, _ = res
 
-    w_den, U_den = np.linalg.eigh(hermitian_part(B))
-    keep = w_den > rel * float(w_den.max())
-    null_proj = np.eye(B.shape[0]) - U_den[:, keep] @ U_den[:, keep].conj().T
-    null_leak = float(np.linalg.norm(null_proj @ hermitian_part(B_a) @ null_proj, 2))
+    U_null = U_den[:, w_den <= rel * float(w_den.max())]
+    null_leak = float(np.linalg.norm(U_null.conj().T @ B_a @ U_null, 2))
     indefinite = float(w_den.min()) < -tol * scale
 
-    m, d = k.m, k.d
+    m = k.m
     best_ratio = -np.inf
     best_pair = None
 
     def ratio_at(t, h) -> float:
-        den = np.einsum("a,ab,b->", np.conj(h), np.einsum("k,j,kjab->ab", np.conj(t), t, k.table), h).real
+        den = pair_value(k, t, h).real
         if den <= rel * scale:
             return -np.inf
-        num = np.einsum("a,ab,b->", np.conj(h), np.einsum("k,j,kjab->ab", np.conj(t), t, table_a), h).real
-        return num / den
+        return pair_value(k_a, t, h).real / den
 
     def climb(t):
         nonlocal best_ratio, best_pair
@@ -434,16 +416,12 @@ def bound_constant(
         h = None
         prev = -np.inf
         for _ in range(max_iters):
-            M = np.einsum("k,j,kjab->ab", np.conj(t), t, k.table)
-            M_a = np.einsum("k,j,kjab->ab", np.conj(t), t, table_a)
-            step = _restricted_pencil_max(M_a, M, rel)
+            step = _restricted_pencil_max(quad_form(k_a, t), quad_form(k, t), rel)
             if step is None:
                 return
             _, h = step
             h = h / np.linalg.norm(h)
-            W = np.einsum("a,kjab,b->kj", np.conj(h), k.table, h)
-            W_a = np.einsum("a,kjab,b->kj", np.conj(h), table_a, h)
-            step = _restricted_pencil_max(W_a, W, rel)
+            step = _restricted_pencil_max(direction_form(k_a, h), direction_form(k, h), rel)
             if step is None:
                 return
             val, t = step
@@ -468,7 +446,7 @@ def bound_constant(
     lower = float(np.sqrt(max(best_ratio, 0.0)))
     upper = float(np.sqrt(max(upper_sq, 0.0)))
     diagnostics = {"null_leak": null_leak, "denominator_indefinite": indefinite}
-    return BoundEstimate(int(alpha), lower, upper, best_pair[0], best_pair[1], p, q, diagnostics)
+    return BoundEstimate(int(alpha), lower, upper, best_pair[0], best_pair[1], diagnostics)
 
 
 def unitary_equivalence(
@@ -493,7 +471,7 @@ def unitary_equivalence(
     Ut, *_ = np.linalg.lstsq(dec1.V, dec2.V, rcond=None)
     U = Ut.T
     G1, G2 = dec1.space.gram, dec2.space.gram
-    iso = float(np.max(np.abs(gram_pair_coords(G2, U, U) - G1.blocks))) if dec1.n else 0.0
+    iso = float(np.max(np.abs(pair_coords(G2.blocks, U, U) - G1.blocks))) if dec1.n else 0.0
     inter = float(np.max(np.abs(dec1.V @ U.T - dec2.V))) if dec1.n else 0.0
     scale = 1.0 + (float(np.max(np.abs(G1.blocks))) if dec1.n else 0.0)
     if max(iso, inter) > tol * scale:

@@ -29,6 +29,7 @@ from .zspace import (
     ZSpaceDescriptor,
     hermitian_part,
     involution,
+    pair_coords,
     scalar_space,
     seminorm,
 )
@@ -149,14 +150,15 @@ def is_invariant(k: Kernel, S, A, tol: float | None = None) -> list[tuple]:
 
 def quad_form(k: Kernel, t) -> np.ndarray:
     """``M(t) = sum_kj conj(t_k) t_j k(x_k, x_j)`` as a ``d x d`` matrix."""
-    t = np.asarray(t, dtype=complex).reshape(-1)
-    return np.einsum("k,j,kjab->ab", np.conj(t), t, k.table)
+    t = np.asarray(t, dtype=complex).reshape(-1, 1)
+    return pair_coords(k.table, t, t)[0, 0]
 
 
 def direction_form(k: Kernel, h) -> np.ndarray:
     """``W_h[k, j] = <h, k(x_k, x_j) h>`` as an ``m x m`` matrix."""
     h = np.asarray(h, dtype=complex).reshape(-1)
-    return np.einsum("a,kjab,b->kj", np.conj(h), k.table, h)
+    m, d = k.m, k.d
+    return (k.table.reshape(m * m * d, d) @ h).reshape(m, m, d) @ np.conj(h)
 
 
 def pair_value(k: Kernel, t, h) -> complex:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Action, StarSemigroup, left_translation_action
-from .dilation import gram_pair_coords
 from .errors import (
     HermitianMismatchError,
     NoUnitError,
@@ -29,7 +28,7 @@ from .errors import (
     SchemaError,
 )
 from .kernels import Kernel
-from .zspace import ZSpaceDescriptor, hermitian_space, scalar_space
+from .zspace import ZSpaceDescriptor, hermitian_space, pair_coords, scalar_space
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,15 @@ class OperatorOnH:
 
 
 def _basis_pairings(H: VEModuleH, T: np.ndarray) -> np.ndarray:
-    """``[T b_i, b_j]`` for all basis pairs; shape ``(dim, dim, dz, dz)``."""
-    return np.einsum("ai,ajcd->ijcd", np.conj(T), H.gram_tensor())
+    """``[T b_i, b_j]`` for all basis pairs, for one operator or a stack of them.
+
+    ``T`` holds coefficient matrices of shape ``(..., dim, dim)``; the result
+    has shape ``(..., dim, dim, dz, dz)``.
+    """
+    G = H.gram_tensor()
+    dim, dz = G.shape[0], G.shape[2]
+    paired = np.conj(np.swapaxes(T, -1, -2)) @ G.reshape(dim, dim * dz * dz)  # [..., i, (j, c, d)]
+    return paired.reshape(*T.shape, dz, dz)
 
 
 def adjoint_solve(H: VEModuleH, T: OperatorOnH, tol: float = 1e-9) -> OperatorOnH:
@@ -188,10 +194,8 @@ def lift_operator_kernel(
                 raise HermitianMismatchError(
                     f"l({x},{y})* differs from l({y},{x}) beyond tolerance"
                 )
-    G = H.gram_tensor()
-    table = np.einsum("yxai,ajcd->xiyjcd", np.conj(l), G)
     dz = H.zspace.dim
-    table = table.reshape(m * dim, m * dim, dz, dz)
+    table = _basis_pairings(H, l).transpose(1, 2, 0, 3, 4, 5).reshape(m * dim, m * dim, dz, dz)
     legend = tuple((x, i) for x in range(m) for i in range(dim))
     lifted_action = None
     if action is not None:
@@ -215,8 +219,8 @@ def recover_operator_dilation(dec, H: VEModuleH, l: np.ndarray):
         raise SchemaError("decomposition size does not match the lifted index set")
     Vt = dec.V.reshape(m, dim, dec.n).transpose(0, 2, 1)  # (m, n, dim)
     dz = dec.space.gram.d
-    lhs = gram_pair_coords(dec.space.gram, dec.V.T, dec.V.T).reshape(m, dim, m, dim, dz, dz)
-    target = np.einsum("yxai,ajcd->xiyjcd", np.conj(l), H.gram_tensor())
+    lhs = pair_coords(dec.space.gram.blocks, dec.V.T, dec.V.T).reshape(m, dim, m, dim, dz, dz)
+    target = _basis_pairings(H, l).transpose(1, 2, 0, 3, 4, 5)  # [l(y, x) b_i, b_j] at (x, i, y, j)
     return Vt, float(np.max(np.abs(lhs - target)))
 
 
@@ -285,8 +289,8 @@ def verify_factorization(T: SemigroupMapT, S: StarSemigroup, dec, rep) -> float:
     e = S.unit
     A = dec.V[e * q : (e + 1) * q].T  # (n, q)
     n, d = dec.n, T.space.dim
-    PA = (rep.matrices @ A).transpose(1, 0, 2).reshape(n, -1)  # [b, (t, i)] of pi(t) A
-    lhs = gram_pair_coords(dec.space.gram, A, PA)  # [j, (t, i), c, e]
+    PA = (rep.matrices @ A).transpose(1, 0, 2).reshape(n, S.size * q)  # [b, (t, i)] of pi(t) A
+    lhs = pair_coords(dec.space.gram.blocks, A, PA)  # [j, (t, i), c, e]
     lhs = lhs.reshape(q, S.size, q, d, d).transpose(1, 0, 2, 3, 4)
     return float(np.max(np.abs(lhs - T.tensors)))
 

@@ -9,21 +9,15 @@ reproduce every function: ``f(x) = [k_x, f]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .algebra import Action, StarSemigroup
-from .dilation import (
-    KolmogorovDecomposition,
-    StarRepresentation,
-    _representation_defects,
-    build_representation,
-    gram_pair_coords,
-)
-from .errors import IllDefinedError, InjectivityFailureError, NotInvariantError, SchemaError
-from .kernels import Kernel, entry_scale, is_invariant
-from .zspace import GramTensor, ZSpaceDescriptor
+from .dilation import KolmogorovDecomposition, StarRepresentation, build_representation
+from .errors import IllDefinedError, InjectivityFailureError, SchemaError
+from .kernels import Kernel, entry_scale
+from .zspace import GramTensor, ZSpaceDescriptor, pair_coords
 
 
 @dataclass(frozen=True)
@@ -33,14 +27,14 @@ class RKSpace:
     ``functions[i]`` realises basis vector ``i`` as an ``(m, d, d)`` array;
     ``point_coords[x]`` are the coordinates of ``k_x`` in that basis; the
     metric is the one transported from the source decomposition, which is
-    kept for conjugation checks.
+    kept: its representation is carried across to the space.
     """
 
     functions: np.ndarray = field()  # (n, m, d, d)
     gram: GramTensor = field()
     point_coords: np.ndarray = field()  # (m, n)
-    zspace: ZSpaceDescriptor = field(default_factory=ZSpaceDescriptor)
-    source: KolmogorovDecomposition | None = None
+    zspace: ZSpaceDescriptor = field()
+    source: KolmogorovDecomposition = field()
 
     def __post_init__(self):
         f = np.asarray(self.functions, dtype=complex)
@@ -87,7 +81,7 @@ def build_rk(dec: KolmogorovDecomposition) -> RKSpace:
 def reconstruct_kernel(rk: RKSpace) -> Kernel:
     """The kernel determined by the space: ``k(x, y) = [k_x, k_y]``."""
     coords = rk.point_coords.T
-    return Kernel(rk.zspace, gram_pair_coords(rk.gram, coords, coords))
+    return Kernel(rk.zspace, pair_coords(rk.gram.blocks, coords, coords))
 
 
 def verify_reproducing(rk: RKSpace, k: Kernel) -> float:
@@ -112,35 +106,24 @@ def rk_representation(
 ) -> StarRepresentation:
     """Representation acting on point evaluations by ``k_x -> k_{s.x}``.
 
-    Matrices are solved least-squares from all point evaluations (which span
-    the space).  The result must agree with the decomposition representation
-    transported through the realisation unitary; since coordinates carry
-    over unchanged, that means equality of matrices, checked within ``tol``
-    and reported as ``diagnostics['conjugation_defect']``.
+    It is the source decomposition's representation carried across by the
+    realisation unitary; since coordinates carry over unchanged, its
+    matrices and law defects are those of :func:`build_representation` on
+    the kernel the space determines.  On the realised functions it must act
+    by ``(rho(s) f)(x) = f(s*.x)``; the worst gap over basis functions and
+    elements is checked within ``tol`` and reported as
+    ``diagnostics['conjugation_defect']``.
     """
     k = reconstruct_kernel(rk)
-    violations = is_invariant(k, S, A)
-    if violations:
-        raise NotInvariantError(
-            f"kernel is not invariant; first violation (s, x, y, defect) = {violations[0]}",
-            violations,
+    pi = build_representation(rk.source, k, S, A, tol)
+    F = rk.functions
+    flat = F.reshape(rk.n, rk.m * rk.gram.d**2)
+    conj = 0.0
+    for s in range(S.size):
+        moved = (pi.matrices[s].T @ flat).reshape(F.shape)
+        conj = max(conj, float(np.abs(moved - F[:, A.table[S.inv[s]]]).max(initial=0.0)))
+    if conj > tol * (1.0 + entry_scale(k)):
+        raise IllDefinedError(
+            f"representation disagrees with the action on realised functions by {conj:.3e}"
         )
-    g = S.size
-    n = rk.n
-    coords = rk.point_coords
-    mats = np.empty((g, n, n), dtype=complex)
-    for s in range(g):
-        sol, *_ = np.linalg.lstsq(coords, coords[A.table[s]], rcond=None)
-        mats[s] = sol.T
-    mult, star, inter = _representation_defects(mats, rk.gram, coords, A.table, S)
-
-    diagnostics = {}
-    if rk.source is not None:
-        pi = build_representation(rk.source, k, S, A, tol)
-        conj = float(np.max(np.abs(mats - pi.matrices))) if n else 0.0
-        diagnostics["conjugation_defect"] = conj
-        if conj > tol * (1.0 + entry_scale(k)):
-            raise IllDefinedError(
-                f"representation disagrees with the transported one by {conj:.3e}"
-            )
-    return StarRepresentation(mats, mult, star, inter, diagnostics)
+    return replace(pi, diagnostics={**pi.diagnostics, "conjugation_defect": conj})

@@ -17,6 +17,24 @@ def carray_to_json(a) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
+def carray_from_json(v, shape: tuple, name: str) -> np.ndarray:
+    """Inverse of :func:`carray_to_json`: a finite complex array of ``shape``.
+
+    An empty list stands for any array with no entries.
+    """
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{name} is not a rectangular table of [re, im] pairs") from exc
+    if a.size == 0 and 0 in shape:
+        return np.zeros(shape, dtype=complex)
+    if a.shape != (*shape, 2):
+        raise SchemaError(f"{name} must have shape {shape} of [re, im] pairs, got {a.shape[:-1]}")
+    if not np.all(np.isfinite(a)):
+        raise SchemaError(f"{name} has non-finite entries")
+    return a.view(complex)[..., 0]
+
+
 def int_from_json(v, name: str) -> int:
     """A JSON integer; floats, strings and booleans are rejected."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -41,32 +59,15 @@ def check_indices(t: np.ndarray, bound: int, name: str):
         raise SchemaError(f"{name} entries out of range 0..{bound - 1}")
 
 
-def _rows(v, name: str) -> list:
-    if not isinstance(v, list) or not all(isinstance(r, list) for r in v):
-        raise SchemaError(f"{name} must be a list of rows")
-    return v
-
-
-def complex_from_json(v) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise SchemaError(f"complex number must be a [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+def _table_size(v, name: str) -> int:
+    """Length of the leading axis of a JSON table."""
+    if not isinstance(v, list):
+        raise SchemaError(f"{name} must be a list")
+    return len(v)
 
 
 def cmatrix_to_json(a: np.ndarray) -> list:
     return carray_to_json(np.atleast_2d(a))
-
-
-def cmatrix_from_json(rows, shape=None) -> np.ndarray:
-    try:
-        a = np.array([[complex_from_json(x) for x in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed complex matrix: {exc}") from exc
-    if a.ndim != 2:
-        raise SchemaError("matrix must be a list of rows")
-    if shape is not None and a.shape != shape:
-        raise SchemaError(f"matrix shape {a.shape} != expected {shape}")
-    return a
 
 
 def cvector_to_json(v: np.ndarray) -> list:
@@ -101,16 +102,11 @@ def kernel_from_json(obj, space: ZSpaceDescriptor | None = None) -> Kernel:
         raise SchemaError("kernel must be an object with a 'table' field")
     if space is None:
         space = space_from_json(obj.get("space", {}))
-    rows = _rows(obj["table"], "kernel table")
-    m = len(rows)
-    if obj.get("m", m) != m or any(len(r) != m for r in rows):
+    m = _table_size(obj["table"], "kernel table")
+    if obj.get("m", m) != m:
         raise SchemaError("kernel table is not m x m")
     d = space.dim
-    table = np.zeros((m, m, d, d), dtype=complex)
-    for x in range(m):
-        for y in range(m):
-            table[x, y] = cmatrix_from_json(rows[x][y], (d, d))
-    return Kernel(space, table)
+    return Kernel(space, carray_from_json(obj["table"], (m, m, d, d), "kernel table"))
 
 
 def semigroup_to_json(S: StarSemigroup) -> dict:
@@ -193,7 +189,6 @@ def bound_to_json(b) -> dict:
         "element": b.element,
         "lower": float(b.lower),
         "upper": float(b.upper),
-        "seminorms": {"p": b.p, "q": b.q},
         "witness": None
         if b.witness_t is None
         else {"t": cvector_to_json(b.witness_t), "h": cvector_to_json(b.witness_h)},
@@ -224,15 +219,8 @@ def operator_kernel_from_json(obj):
     if not isinstance(obj, dict) or "module" not in obj or "table" not in obj:
         raise SchemaError("operator kernel needs 'module' and 'table'")
     H = module_from_json(obj["module"])
-    rows = _rows(obj["table"], "operator table")
-    m = len(rows)
-    l = np.zeros((m, m, H.dim, H.dim), dtype=complex)
-    for x in range(m):
-        if len(rows[x]) != m:
-            raise SchemaError("operator table is not square")
-        for y in range(m):
-            l[x, y] = cmatrix_from_json(rows[x][y], (H.dim, H.dim))
-    return H, l
+    m = _table_size(obj["table"], "operator table")
+    return H, carray_from_json(obj["table"], (m, m, H.dim, H.dim), "operator table")
 
 
 def semigroup_map_to_json(T: SemigroupMapT) -> dict:
@@ -248,20 +236,14 @@ def semigroup_map_from_json(obj) -> SemigroupMapT:
         raise SchemaError("semigroup map needs a 'tensors' field")
     space = space_from_json(obj.get("space", {}))
     raw = obj["tensors"]
-    if not isinstance(raw, list):
-        raise SchemaError("tensors must be a list with one q x q table per element")
-    g = len(raw)
-    per_element = [_rows(r, "tensors of one element") for r in raw]
-    q = int_from_json(obj.get("q", 0), "q") or (len(per_element[0]) if g else 0)
+    g = _table_size(raw, "tensors")
+    q = int_from_json(obj.get("q", 0), "q")
+    if q < 0:
+        raise SchemaError(f"q must be >= 0, got {q}")
+    if q == 0 and g:
+        q = _table_size(raw[0], "tensors of one element")
     d = space.dim
-    tensors = np.zeros((g, q, q, d, d), dtype=complex)
-    for s in range(g):
-        if len(per_element[s]) != q or any(len(r) != q for r in per_element[s]):
-            raise SchemaError("tensors are not q x q per element")
-        for i in range(q):
-            for j in range(q):
-                tensors[s, i, j] = cmatrix_from_json(raw[s][i][j], (d, d))
-    return SemigroupMapT(space, tensors)
+    return SemigroupMapT(space, carray_from_json(raw, (g, q, q, d, d), "tensors"))
 
 
 def lifted_to_json(lk: LiftedKernel) -> dict:

@@ -182,11 +182,25 @@ def _check_coeff(G: GramTensor, u) -> np.ndarray:
     return u
 
 
+def pair_coords(blocks: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """All pairings ``sum_ab conj(U[a, i]) W[b, j] blocks[a, b]`` as an ``(i, j, d, d)`` array.
+
+    ``blocks`` is a raw ``(n, n, d, d)`` table (a gram tensor or a kernel).
+    The leading index is contracted first, through a copy-free reshape, and
+    the second one as one more matrix product.
+    """
+    n, d = blocks.shape[0], blocks.shape[2]
+    p, q = U.shape[1], W.shape[1]
+    left = np.conj(U).T @ blocks.reshape(n, n * d * d)  # [i, (b, c, e)]
+    left = left.reshape(p, n, d * d).transpose(1, 0, 2).reshape(n, p * d * d)  # [b, (i, c, e)]
+    return (W.T @ left).reshape(q, p, d, d).transpose(1, 0, 2, 3)
+
+
 def gram_pair(G: GramTensor, u, v) -> np.ndarray:
     """Pairing ``sum_ij conj(u_i) v_j G[i, j]``; an element of the value space."""
     u = _check_coeff(G, u)
     v = _check_coeff(G, v)
-    return np.einsum("i,j,ijab->ab", np.conj(u), v, G.blocks)
+    return pair_coords(G.blocks, u[:, None], v[:, None])[0, 0]
 
 
 def polarisation_check(G: GramTensor, u, v) -> float:

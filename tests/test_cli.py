@@ -1,7 +1,12 @@
+import copy
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wpsd import cyclic_group, gns_instance, left_regular_star_rep, gram_semigroup_map
 from wpsd import serialize as sz
@@ -249,3 +254,104 @@ def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
     path = write_problem(tmp_path, "p.json", prob)
     assert main(["all", path, "--no-timestamp", "--out", str(tmp_path / "r.json")]) == 0
     assert calls == {"lift_semigroup_map": 1, "build_kolmogorov": 1, "build_representation": 1}
+
+
+def _fuzz_bases() -> list:
+    """One small valid problem per input kind, each listing every task the kind supports."""
+    S = cyclic_group(3)
+    rng = np.random.default_rng(11)
+    F = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    T = gram_semigroup_map(S, left_regular_star_rep(S), np.ones((2, 3, 1)))
+    every = ["validate", "check-positivity", "decompose", "represent", "bounds"]
+    return [
+        circulant_problem(every, phi=(1.0, 0.4, 0.4)),
+        {
+            "operator_kernel": {
+                "module": {"kind": "hilbert", "r": 2},
+                "table": sz.carray_to_json(np.einsum("xca,ycb->xyab", F.conj(), F)),
+            },
+            "tasks": ["validate", "lift", "check-positivity", "decompose"],
+        },
+        {
+            "semigroup": sz.semigroup_to_json(S),
+            "semigroup_map": sz.semigroup_map_to_json(T),
+            "tasks": ["lift", "factorize", *every],
+        },
+    ]
+
+
+FUZZ_BASES = _fuzz_bases()
+NUMBERS = st.one_of(
+    st.integers(-2, 4),
+    st.sampled_from([0.5, -0.0, -1.0, 3.0, 1e-300, 1e308, -1e308, float("inf"), float("nan")]),
+)
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    NUMBERS,
+    st.sampled_from(["", "x", "validate"]),
+    st.sampled_from([[], {}, [[]], [0.0, 0.0]]),
+)
+
+
+@st.composite
+def mutated_problems(draw):
+    """A base problem with one to three edits at random places in its JSON tree.
+
+    An edit replaces an entry with a small JSON value, deletes it, repeats a
+    list item (making tables ragged), or changes a number to another number
+    (keeping tables well formed).
+    """
+    prob = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = prob
+        while True:
+            keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.integers(0, 7)) > 0:
+                node = child
+                continue
+            edit = draw(st.sampled_from(["replace", "delete", "repeat", "number"]))
+            if edit == "delete":
+                del node[key]
+            elif edit == "repeat" and isinstance(node, list):
+                node.insert(key, copy.deepcopy(child))
+            elif edit == "number" and isinstance(child, (int, float)) and not isinstance(child, bool):
+                node[key] = draw(NUMBERS)
+            else:
+                node[key] = copy.deepcopy(draw(JSON_VALUES))
+            break
+    return prob
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(prob=mutated_problems())
+@example(prob={"kernel": {"table": []}, "tasks": ["validate", "check-positivity", "decompose"]})
+@example(prob={"operator_kernel": {"module": {"kind": "hilbert", "r": 2}, "table": []}, "tasks": ["decompose"]})
+@example(
+    prob={
+        "semigroup": sz.semigroup_to_json(cyclic_group(3)),
+        "semigroup_map": {"q": 2, "tensors": sz.carray_to_json(np.zeros((3, 2, 2, 1, 1)))},
+        "tasks": ["factorize"],
+    }
+)
+@example(
+    prob={
+        "space": {"kind": "hermitian", "dim": 2},
+        "kernel": {"table": sz.carray_to_json(1e308 * np.tile(np.eye(2), (2, 2, 1, 1)))},
+        "tasks": ["check-positivity"],
+    }
+)
+@example(prob={"semigroup": sz.semigroup_to_json(cyclic_group(3)), "semigroup_map": {"q": -1, "tensors": []}, "tasks": ["lift"]})
+def test_mutated_problem_files_never_crash(prob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "p.json"), os.path.join(tmp, "r.json")
+        with open(path, "w") as fh:
+            json.dump(prob, fh)
+        with np.errstate(all="ignore"):
+            code = main(["all", path, "--out", out, "--restarts", "2", "--no-timestamp"])
+        assert code in (0, 1, 2, 3)
+        assert os.path.exists(out) == (code != 3)

@@ -4,6 +4,7 @@ import pytest
 from wpsd import (
     Action,
     GramTensor,
+    IllDefinedError,
     InjectivityFailureError,
     build_kolmogorov,
     build_representation,
@@ -118,3 +119,16 @@ def test_rk_conjugation_identity_random_circulants():
         rho = rk_representation(rk, S, A)
         pi = build_representation(dec, k, S, A)
         assert float(np.max(np.abs(rho.matrices - pi.matrices))) <= 1e-9
+
+
+def test_rk_representation_rejects_corrupted_functions():
+    S = cyclic_group(4)
+    A = left_translation_action(S)
+    k = circulant_kernel(4, np.fft.ifft([1.0, 0.6, 0.3, 0.8]))
+    rk = build_rk(build_kolmogorov(k))
+    assert rk_representation(rk, S, A).diagnostics["conjugation_defect"] <= 1e-10
+    bad_functions = np.array(rk.functions)
+    bad_functions[0, 1] += 0.5
+    bad = RKSpace(bad_functions, rk.gram, rk.point_coords, rk.zspace, rk.source)
+    with pytest.raises(IllDefinedError):
+        rk_representation(bad, S, A)

@@ -60,3 +60,14 @@ def test_vectorised_encoding_matches_per_entry():
     tensors = signed_array((4, 2, 2, 2, 2), rng)
     T = SemigroupMapT(hermitian_space(2), tensors)
     assert same(sz.semigroup_map_to_json(T)["tensors"], tensors)
+
+
+def test_decoding_inverts_encoding_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for shape in [(3,), (3, 4), (2, 2, 2, 2), (3, 0), (0, 0, 1, 1)]:
+        a = signed_array(shape, rng)
+        back = sz.carray_from_json(json.loads(json.dumps(sz.carray_to_json(a))), shape, "a")
+        assert back.shape == a.shape
+        assert np.array_equal(back.view(float), a.view(float))
+        assert np.array_equal(np.signbit(back.real), np.signbit(a.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(a.imag))

@@ -16,7 +16,7 @@ from wpsd import (
     ve_seminorm,
 )
 from wpsd.kernels import random_block_psd_kernel
-from wpsd.zspace import validate_gram
+from wpsd.zspace import pair_coords, validate_gram
 
 HERM2 = hermitian_space(2)
 
@@ -186,3 +186,14 @@ def test_validate_gram():
     bad2 = np.array(G.blocks)
     bad2[0, 1] += 1.0
     assert any("symmetry" in v for v in validate_gram(GramTensor(bad2), HERM2))
+
+
+@pytest.mark.parametrize("n, d, p, q", [(4, 2, 3, 5), (5, 1, 1, 1), (3, 3, 0, 2), (0, 2, 3, 1), (0, 1, 0, 0)])
+def test_pair_coords_matches_einsum(n, d, p, q):
+    rng = np.random.default_rng(n + 10 * d + 100 * p + 1000 * q)
+    blocks = rng.standard_normal((n, n, d, d)) + 1j * rng.standard_normal((n, n, d, d))
+    U = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+    W = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    got = pair_coords(blocks, U, W)
+    assert got.shape == (p, q, d, d)
+    np.testing.assert_allclose(got, np.einsum("ai,bj,abce->ijce", U.conj(), W, blocks), atol=1e-12)
