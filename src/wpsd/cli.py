@@ -139,8 +139,9 @@ def run_options(p: Problem, seed=None, restarts=None, report_tol=None) -> dict:
 class Artifacts:
     """The lift, decomposition and representation of one problem, each built at most once.
 
-    Tasks of one run share them; they are dropped with the object when the
-    run ends.
+    Tasks of one run share them, and share the report payloads of the
+    decomposition and the representation, so that the report encoder writes
+    each payload once.  They are dropped with the object when the run ends.
     """
 
     def __init__(self, p: Problem, rank_tol: float):
@@ -169,6 +170,14 @@ class Artifacts:
     def representation(self):
         kernel, action, _ = self.lifted
         return build_representation(self.decomposition, kernel, self.p.semigroup, action, self.rank_tol)
+
+    @cached_property
+    def decomposition_json(self) -> dict:
+        return sz.decomposition_to_json(self.decomposition)
+
+    @cached_property
+    def representation_json(self) -> dict:
+        return sz.representation_to_json(self.representation)
 
 
 def task_validate(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
@@ -208,7 +217,7 @@ def task_check_positivity(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
 def task_decompose(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     dec = art.decomposition
     defect = verify_linearisation(dec, art.lifted[0])
-    out = {"decomposition": sz.decomposition_to_json(dec), "linearisation_defect": defect}
+    out = {"decomposition": art.decomposition_json, "linearisation_defect": defect}
     return out, (0 if defect <= opts["tolerances"]["report"] else 1)
 
 
@@ -221,8 +230,8 @@ def task_represent(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     dec, rep = art.decomposition, art.representation
     rk = build_rk(dec)
     out = {
-        "decomposition": sz.decomposition_to_json(dec),
-        "representation": sz.representation_to_json(rep),
+        "decomposition": art.decomposition_json,
+        "representation": art.representation_json,
         "reproducing_defect": verify_reproducing(rk, kernel),
     }
     worst = max(rep.mult_defect, rep.star_defect, rep.intertwine_defect, out["reproducing_defect"])
@@ -268,8 +277,8 @@ def task_factorize(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     out = {
         "dimension": dec.n,
         "residual": residual,
-        "decomposition": sz.decomposition_to_json(dec),
-        "representation": sz.representation_to_json(rep),
+        "decomposition": art.decomposition_json,
+        "representation": art.representation_json,
     }
     return out, (0 if residual <= opts["tolerances"]["report"] else 1)
 
@@ -356,7 +365,7 @@ def main(argv=None) -> int:
 
     if not args.no_timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = sz.report_text(report) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     else:

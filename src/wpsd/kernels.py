@@ -183,7 +183,7 @@ def strong_positivity(k: Kernel, tol: float = 1e-9):
     if k.m == 0:
         return 0.0, True
     B = block_matrix(k)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (B + B.conj().T)).min())
+    min_eig = float(np.linalg.eigvalsh(hermitian_part(B)).min())
     return min_eig, bool(min_eig >= -tol * entry_scale(k))
 
 

@@ -17,6 +17,7 @@ Three pipelines live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,26 +65,23 @@ class VEModuleH:
     def zspace(self) -> ZSpaceDescriptor:
         return scalar_space() if self.kind == "hilbert" else hermitian_space(self.d)
 
-    def basis_element(self, i: int) -> np.ndarray:
-        if self.kind == "hilbert":
-            e = np.zeros(self.r, dtype=complex)
-            e[i] = 1.0
-            return e
-        E = np.zeros((self.d, self.kcols), dtype=complex)
-        E[i // self.kcols, i % self.kcols] = 1.0
-        return E
-
     def gram_tensor(self) -> np.ndarray:
-        """All pairings of basis elements; shape ``(dim, dim, dz, dz)``."""
-        dim, dz = self.dim, self.zspace.dim
-        G = np.zeros((dim, dim, dz, dz), dtype=complex)
-        for i in range(dim):
-            for j in range(dim):
-                bi, bj = self.basis_element(i), self.basis_element(j)
-                if self.kind == "hilbert":
-                    G[i, j, 0, 0] = np.vdot(bi, bj)
-                else:
-                    G[i, j] = bj @ bi.conj().T
+        """All pairings of basis elements; shape ``(dim, dim, dz, dz)``.
+
+        Built on first use and kept, read-only.
+        """
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        if self.kind == "hilbert":
+            G = np.eye(self.r, dtype=complex).reshape(self.r, self.r, 1, 1)
+        else:
+            # [E_pa, E_qb] = E_qb E_pa* = delta_ab e_q e_p^T for the matrix units E_pa.
+            d, k = self.d, self.kcols
+            G = np.einsum("ab,qc,pe->paqbce", np.eye(k), np.eye(d), np.eye(d)).astype(complex)
+            G = G.reshape(self.dim, self.dim, d, d)
+        G.flags.writeable = False
         return G
 
 
@@ -183,10 +181,13 @@ def lift_operator_kernel(
     """
     l = np.asarray(l, dtype=complex)
     m = l.shape[0]
-    dim = H.dim
+    dim, dz = H.dim, H.zspace.dim
+    if m == 0:
+        # Nothing to pair, so the module's dim**2 gram tensor is not built.
+        return LiftedKernel(Kernel(H.zspace, np.zeros((0, 0, dz, dz), dtype=complex)), (), action)
     if l.shape != (m, m, dim, dim):
         raise SchemaError(f"operator table must have shape (m, m, {dim}, {dim}), got {l.shape}")
-    scale = 1.0 + float(np.max(np.abs(l))) if m else 1.0
+    scale = 1.0 + float(np.max(np.abs(l)))
     for x in range(m):
         for y in range(x, m):
             adj = adjoint_solve(H, OperatorOnH(l[x, y]), tol).adjoint
@@ -194,7 +195,6 @@ def lift_operator_kernel(
                 raise HermitianMismatchError(
                     f"l({x},{y})* differs from l({y},{x}) beyond tolerance"
                 )
-    dz = H.zspace.dim
     table = _basis_pairings(H, l).transpose(1, 2, 0, 3, 4, 5).reshape(m * dim, m * dim, dz, dz)
     legend = tuple((x, i) for x in range(m) for i in range(dim))
     lifted_action = None

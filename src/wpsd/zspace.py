@@ -85,7 +85,9 @@ def involution(z: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.asarray(z, dtype=complex) + involution(z))
+    """``(z + z*) / 2``, halved before the sum so that entries near the largest float stay finite."""
+    half = 0.5 * np.asarray(z, dtype=complex)
+    return half + involution(half)
 
 
 def hermitian_defect(z: np.ndarray) -> float:

@@ -256,6 +256,73 @@ def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
     assert calls == {"lift_semigroup_map": 1, "build_kolmogorov": 1, "build_representation": 1}
 
 
+def test_report_is_indented_json_and_payloads_are_built_once(tmp_path, monkeypatch):
+    calls = {}
+    for name in ("decomposition_to_json", "representation_to_json"):
+        fn = getattr(sz, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(sz, name, counted)
+    S = cyclic_group(3)
+    T = gram_semigroup_map(S, left_regular_star_rep(S), np.ones((2, 3, 1)))
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "semigroup": sz.semigroup_to_json(S),
+        "semigroup_map": sz.semigroup_map_to_json(T),
+        "tasks": ["decompose", "represent", "factorize"],
+    }
+    out = tmp_path / "r.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp", "--out", str(out)]) == 0
+    text = out.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    represent, factorize = report["tasks"]["represent"], report["tasks"]["factorize"]
+    assert represent["decomposition"] == factorize["decomposition"] == report["tasks"]["decompose"]["decomposition"]
+    assert represent["representation"] == factorize["representation"]
+    assert calls == {"decomposition_to_json": 1, "representation_to_json": 1}
+
+
+def test_boolean_diagnostics_are_json_booleans(tmp_path, capsys):
+    path = write_problem(tmp_path, "p.json", circulant_problem(["decompose", "bounds"], phi=(1.0, 0.4, 0.4)))
+    assert main(["all", path, "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tasks"]["decompose"]["decomposition"]["diagnostics"]["rank_unstable"] is False
+    for b in report["tasks"]["bounds"]["bounds"]:
+        assert isinstance(b["diagnostics"]["denominator_indefinite"], bool)
+
+
+def test_entries_near_the_largest_float_give_no_nan(tmp_path):
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "kernel": sz.kernel_to_json(scalar_kernel([[1e308, 0.0], [0.0, 1e308]])),
+        "tasks": ["check-positivity", "decompose"],
+    }
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore"):  # the decomposition's column norms still overflow
+        main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp", "--out", str(out)])
+    text = out.read_text()
+    assert "NaN" not in text
+    positivity = json.loads(text)["tasks"]["check-positivity"]
+    assert positivity["exit"] == 0
+    assert positivity["weak"]["status"] == "certified_positive"
+    assert positivity["strong"] == {"min_eig": 1e308, "is_psd": True}
+
+
+def test_empty_operator_table_of_a_large_module_lifts_to_nothing(tmp_path, capsys):
+    prob = {
+        "operator_kernel": {"module": {"kind": "hilbert", "r": 10**9}, "table": []},
+        "tasks": ["validate", "lift", "check-positivity", "decompose"],
+    }
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tasks"]["lift"]["lifted"]["table"] == []
+    assert report["tasks"]["lift"]["lifted"]["legend"] == []
+    assert report["tasks"]["decompose"]["decomposition"]["n"] == 0
+
+
 def _fuzz_bases() -> list:
     """One small valid problem per input kind, each listing every task the kind supports."""
     S = cyclic_group(3)

@@ -52,6 +52,22 @@ def test_module_gramian_axioms():
             assert in_cone(puu, H.zspace)
 
 
+def test_gram_tensor_equals_pairwise_reference_and_is_built_once():
+    for H in (hilbert_module(1), hilbert_module(4), matrix_module(1, 3), matrix_module(3, 1), matrix_module(2, 3)):
+        dim, dz = H.dim, H.zspace.dim
+        basis = np.eye(dim, dtype=complex)
+        if H.kind == "matrix_module":
+            basis = basis.reshape(dim, H.d, H.kcols)  # the matrix units, row-major
+        ref = np.zeros((dim, dim, dz, dz), dtype=complex)
+        for i in range(dim):
+            for j in range(dim):
+                bi, bj = basis[i], basis[j]
+                ref[i, j] = np.vdot(bi, bj) if H.kind == "hilbert" else bj @ bi.conj().T
+        G = H.gram_tensor()
+        assert np.array_equal(G, ref)
+        assert G is H.gram_tensor() and not G.flags.writeable
+
+
 def test_matrix_module_gram_against_direct_formula():
     H = matrix_module(2, 3)
     rng = np.random.default_rng(1)

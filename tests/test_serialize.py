@@ -1,6 +1,9 @@
 import json
+import math
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wpsd import (
     GramTensor,
@@ -71,3 +74,45 @@ def test_decoding_inverts_encoding_bit_for_bit():
         assert np.array_equal(back.view(float), a.view(float))
         assert np.array_equal(np.signbit(back.real), np.signbit(a.real))
         assert np.array_equal(np.signbit(back.imag), np.signbit(a.imag))
+
+
+# ------------------------------------------------------------ report text
+
+SPECIAL_FLOATS = [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+TEXT = st.text(st.one_of(st.sampled_from('[]{},:"\\ \x00é☃'), st.characters()), max_size=6)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT)
+
+
+@st.composite
+def uniform_arrays(draw):
+    """Nested lists of one shape with a float at every leaf, as ``ndarray.tolist()`` gives."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    size = math.prod(shape)
+    out = draw(st.lists(FLOATS, min_size=size, max_size=size))
+    for n in reversed(shape[1:]):
+        out = [out[i : i + n] for i in range(0, len(out), n)]
+    return out
+
+
+TREES = st.recursive(
+    st.one_of(SCALARS, uniform_arrays()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tree=TREES)
+@example(tree=[[1.0, 2.0], 3.0])
+@example(tree=[[[1.0]], [2.0]])
+@example(tree=[[1.0, [2.0]]])
+@example(tree=[[1.0], []])
+@example(tree=[[], [[]]])
+@example(tree=[[{}], [1.0], {}])
+@example(tree={"a": [[0.5, -0.0], [1e308, 5e-324]], "b": {}, "c": [True, None, "]],[["]})
+def test_report_text_equals_indented_dumps(tree):
+    # The same containers again, at the same depth and one level deeper.
+    shared = {"tree": tree, "again": tree, "deeper": [tree, {"tree": tree}]}
+    for obj in (tree, shared):
+        assert sz.report_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
