@@ -141,15 +141,16 @@ def _columns(k: Kernel) -> np.ndarray:
     return k.table.transpose(1, 0, 2, 3).reshape(m, m * d * d).T.copy()
 
 
-def _pivoted_basis(C: np.ndarray, rank_tol: float, pivot_order=None) -> list[int]:
-    """Select pivot columns by modified Gram-Schmidt.
+def _pivoted_basis(C: np.ndarray, unit: float, rank_tol: float, pivot_order=None) -> list[int]:
+    """Select pivot columns of ``unit * C`` by modified Gram-Schmidt.
 
-    Greedy mode picks the largest residual column (ties to the lowest
-    index); with an explicit ``pivot_order`` the columns are scanned in that
-    order and every column whose residual exceeds the tolerance is taken.
+    ``unit`` is a power of two, so the scaling is exact.  Greedy mode picks
+    the largest residual column (ties to the lowest index); with an explicit
+    ``pivot_order`` the columns are scanned in that order and every column
+    whose residual exceeds the tolerance is taken.
     """
     m = C.shape[1]
-    R = C.astype(complex).copy()
+    R = unit * np.asarray(C, dtype=complex)
     pivots: list[int] = []
 
     def take(x):
@@ -203,14 +204,17 @@ def build_kolmogorov(
     if pivot_order is not None:
         pivot_order = [int(x) for x in pivot_order]
     C = _columns(k)
-    col_scale = float(np.max(np.linalg.norm(C, axis=0))) if m else 0.0
+    # Pivots are chosen on the columns scaled by the power of two just above
+    # ``scale``: the scaling is exact, and the column norms cannot overflow.
+    unit = 2.0 ** -np.frexp(scale)[1]
+    col_scale = float(np.max(np.linalg.norm(C * unit, axis=0))) if m else 0.0
     rank_tol = tol * col_scale
-    pivots = _pivoted_basis(C, rank_tol, pivot_order) if col_scale > 0 else []
+    pivots = _pivoted_basis(C, unit, rank_tol, pivot_order) if col_scale > 0 else []
     n = len(pivots)
 
     diagnostics: dict = {}
     if col_scale > 0:
-        alt = _pivoted_basis(C, 10.0 * rank_tol, pivot_order)
+        alt = _pivoted_basis(C, unit, 10.0 * rank_tol, pivot_order)
         diagnostics["rank_unstable"] = len(alt) != n
 
     def probe(forms, coeffs, what) -> float:
@@ -380,6 +384,13 @@ def bound_constant(
     eigenvalue of the block matrices' pencil on the range of the
     denominator, a valid domination constant whenever the kernel is
     invariant and weakly positive.  For scalar kernels the two coincide.
+
+    The ``m`` canonical starts and ``restarts`` random ones are a budget.
+    The search stops early only when the bracket is provably closed: the
+    denominator is PSD, the numerator vanishes on its null space (so no
+    product-direction ratio exceeds ``upper**2``), and a re-verified witness
+    reaches ``upper**2`` to within the restriction tolerance.
+    ``diagnostics['climbs']`` counts the climbs run.
     """
     if not (0 <= alpha < S.size):
         raise SchemaError("element index out of range")
@@ -433,19 +444,30 @@ def bound_constant(
         if r > best_ratio:
             best_ratio, best_pair = r, (t, h)
 
-    for x in range(m):
-        climb(np.eye(m, dtype=complex)[x])
-    child = np.random.SeedSequence(seed).spawn(restarts)
-    for ridx in range(restarts):
-        rng = np.random.default_rng(child[ridx])
-        climb(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    def starts():
+        yield from np.eye(m, dtype=complex)
+        seeds = np.random.SeedSequence(seed)
+        for _ in range(restarts):
+            rng = np.random.default_rng(seeds.spawn(1)[0])
+            yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+    # With a PSD denominator whose null space the numerator does not see, no
+    # product-direction ratio exceeds ``upper_sq``: once one reaches it, the
+    # bracket is closed and no later climb can do better.
+    closable = not indefinite and null_leak <= tol * scale
+    climbs = 0
+    for t in starts():
+        climb(t)
+        climbs += 1
+        if closable and best_ratio >= upper_sq * (1.0 - rel):
+            break
 
     if best_pair is None:
         raise ZeroDenominatorError("no quadratic form with nonvanishing denominator found")
 
     lower = float(np.sqrt(max(best_ratio, 0.0)))
     upper = float(np.sqrt(max(upper_sq, 0.0)))
-    diagnostics = {"null_leak": null_leak, "denominator_indefinite": indefinite}
+    diagnostics = {"null_leak": null_leak, "denominator_indefinite": indefinite, "climbs": climbs}
     return BoundEstimate(int(alpha), lower, upper, best_pair[0], best_pair[1], diagnostics)
 
 

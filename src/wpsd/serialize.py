@@ -29,7 +29,10 @@ def carray_from_json(v, shape: tuple, name: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{name} is not a rectangular table of [re, im] pairs") from exc
     if a.size == 0 and 0 in shape:
-        return np.zeros(shape, dtype=complex)
+        try:
+            return np.zeros(shape, dtype=complex)
+        except ValueError as exc:  # the other axes alone overflow numpy's size count
+            raise SchemaError(f"{name}: an empty table of shape {shape} is too large") from exc
     if a.shape != (*shape, 2):
         raise SchemaError(f"{name} must have shape {shape} of [re, im] pairs, got {a.shape[:-1]}")
     if not np.all(np.isfinite(a)):

@@ -301,10 +301,10 @@ def test_entries_near_the_largest_float_give_no_nan(tmp_path):
         "tasks": ["check-positivity", "decompose"],
     }
     out = tmp_path / "r.json"
-    with np.errstate(over="ignore"):  # the decomposition's column norms still overflow
-        main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp", "--out", str(out)])
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp", "--out", str(out)]) == 0
     text = out.read_text()
     assert "NaN" not in text
+    assert json.loads(text)["tasks"]["decompose"]["decomposition"]["n"] == 2
     positivity = json.loads(text)["tasks"]["check-positivity"]
     assert positivity["exit"] == 0
     assert positivity["weak"]["status"] == "certified_positive"
@@ -323,8 +323,30 @@ def test_empty_operator_table_of_a_large_module_lifts_to_nothing(tmp_path, capsy
     assert report["tasks"]["decompose"]["decomposition"]["n"] == 0
 
 
+def test_empty_kernel_table_over_a_huge_space_exits_3(tmp_path):
+    prob = {"space": {"kind": "hermitian", "dim": 10**9}, "kernel": {"table": []}, "tasks": ["validate"]}
+    out = tmp_path / "r.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_empty_semigroup_map_tensors_over_a_huge_space_exit_3(tmp_path):
+    prob = {
+        "semigroup": sz.semigroup_to_json(cyclic_group(3)),
+        "semigroup_map": {"space": {"kind": "hermitian", "dim": 10**9}, "tensors": []},
+        "tasks": ["lift"],
+    }
+    out = tmp_path / "r.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def _fuzz_bases() -> list:
-    """One small valid problem per input kind, each listing every task the kind supports."""
+    """One small valid problem per input kind, each listing every task the kind supports.
+
+    Each kind also comes with an empty table, so that one edit of a size
+    (such as the space dimension) reaches the empty-table paths.
+    """
     S = cyclic_group(3)
     rng = np.random.default_rng(11)
     F = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
@@ -344,12 +366,20 @@ def _fuzz_bases() -> list:
             "semigroup_map": sz.semigroup_map_to_json(T),
             "tasks": ["lift", "factorize", *every],
         },
+        {"space": {"kind": "hermitian", "dim": 2}, "kernel": {"table": []}, "tasks": every[:3]},
+        {"operator_kernel": {"module": {"kind": "hilbert", "r": 2}, "table": []}, "tasks": ["lift", *every[:3]]},
+        {
+            "semigroup": sz.semigroup_to_json(S),
+            "semigroup_map": {"q": 1, "space": {"kind": "hermitian", "dim": 2}, "tensors": []},
+            "tasks": ["lift", "factorize", *every],
+        },
     ]
 
 
 FUZZ_BASES = _fuzz_bases()
 NUMBERS = st.one_of(
     st.integers(-2, 4),
+    st.sampled_from([10**9, -(10**9)]),
     st.sampled_from([0.5, -0.0, -1.0, 3.0, 1e-300, 1e308, -1e308, float("inf"), float("nan")]),
 )
 JSON_VALUES = st.one_of(

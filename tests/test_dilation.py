@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from wpsd import (
     build_representation,
     build_rk,
     cyclic_group,
+    gns_instance,
     gram_semigroup_map,
     hermitian_space,
     idempotent_pair,
@@ -31,8 +34,9 @@ from wpsd import (
     verify_linearisation,
 )
 from wpsd.cli import DEFAULT_TOLERANCES
-from wpsd.dilation import KolmogorovDecomposition, _representation_defects
-from wpsd.zspace import GramTensor
+from wpsd.dilation import KolmogorovDecomposition, _representation_defects, _restricted_pencil_max
+from wpsd.kernels import block_matrix, direction_form, entry_scale, pair_value, quad_form
+from wpsd.zspace import GramTensor, hermitian_part
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -132,6 +136,22 @@ def test_rank_instability_reported():
     k = random_block_psd_kernel(4, 1, 4, seed=7)
     dec = build_kolmogorov(k)
     assert dec.diagnostics["rank_unstable"] is False
+
+
+def test_decomposition_of_entries_near_the_largest_float():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dec = build_kolmogorov(scalar_kernel([[1e308, 0.0], [0.0, 1e308]]))
+    assert dec.n == 2 and dec.residual == 0.0
+    np.testing.assert_array_equal(dec.V, np.eye(2))
+
+
+def test_pivots_do_not_depend_on_a_power_of_two_scale():
+    k = random_block_psd_kernel(12, 2, 5, seed=4)
+    for exponent in (600, 1000):
+        big = Kernel(k.space, 2.0**exponent * k.table)
+        for order in (None, list(reversed(range(12)))):
+            assert build_kolmogorov(big, pivot_order=order).space.pivots == build_kolmogorov(k, pivot_order=order).space.pivots
 
 
 # ------------------------------------------------------------ representation
@@ -234,6 +254,144 @@ def test_bound_soundness_random_invariant():
         for alpha in range(n):
             b = bound_constant(k, S, A, alpha)
             assert b.lower <= b.upper + 1e-9
+
+
+def full_search_bound(k, S, A, alpha, restarts=16, max_iters=100, seed=0, tol=1e-9):
+    """Reference: ``bound_constant``'s search with every climb run, as ``(lower, upper, t, h)``."""
+    act = A.table[alpha]
+    k_a = Kernel(k.space, k.table[np.ix_(act, act)])
+    scale = entry_scale(k)
+    rel = max(tol, 1e-12)
+    B = hermitian_part(block_matrix(k))
+    B_a = hermitian_part(block_matrix(k_a))
+    upper_sq, _ = _restricted_pencil_max(B_a, B, rel, np.linalg.eigh(B))
+    m = k.m
+    best_ratio = -np.inf
+    best_pair = None
+
+    def ratio_at(t, h) -> float:
+        den = pair_value(k, t, h).real
+        if den <= rel * scale:
+            return -np.inf
+        return pair_value(k_a, t, h).real / den
+
+    def climb(t):
+        nonlocal best_ratio, best_pair
+        t = t / np.linalg.norm(t)
+        h = None
+        prev = -np.inf
+        for _ in range(max_iters):
+            step = _restricted_pencil_max(quad_form(k_a, t), quad_form(k, t), rel)
+            if step is None:
+                return
+            _, h = step
+            h = h / np.linalg.norm(h)
+            step = _restricted_pencil_max(direction_form(k_a, h), direction_form(k, h), rel)
+            if step is None:
+                return
+            val, t = step
+            t = t / np.linalg.norm(t)
+            if val - prev < 1e-13:
+                break
+            prev = val
+        r = ratio_at(t, h)
+        if r > best_ratio:
+            best_ratio, best_pair = r, (t, h)
+
+    for x in range(m):
+        climb(np.eye(m, dtype=complex)[x])
+    child = np.random.SeedSequence(seed).spawn(restarts)
+    for ridx in range(restarts):
+        rng = np.random.default_rng(child[ridx])
+        climb(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    lower = float(np.sqrt(max(best_ratio, 0.0)))
+    upper = float(np.sqrt(max(upper_sq, 0.0)))
+    return lower, upper, best_pair[0], best_pair[1]
+
+
+def gns_phi(g, d, rng):
+    """``phi(u) = sum_j exp(2 pi i j u / g) P_j`` with random PSD ``P_j``: a positive-type function on Z_g."""
+    F = rng.standard_normal((g, d, d)) + 1j * rng.standard_normal((g, d, d))
+    P = F @ np.conj(F.transpose(0, 2, 1))
+    waves = np.exp(2j * np.pi * np.outer(np.arange(g), np.arange(g)) / g)
+    return np.einsum("uj,jab->uab", waves, P)
+
+
+def raw_witness_ratio(k, act, t, h):
+    """``<h, M_a(t) h> / <h, M(t) h>`` summed directly from the raw table."""
+    num = np.einsum("k,j,a,kjab,b->", np.conj(t), t, np.conj(h), k.table[np.ix_(act, act)], h)
+    den = np.einsum("k,j,a,kjab,b->", np.conj(t), t, np.conj(h), k.table, h)
+    return num.real / den.real
+
+
+def test_bound_open_bracket_runs_every_climb_as_before():
+    S = cyclic_group(6)
+    A = left_translation_action(S)
+    restarts = 6
+    for seed in range(3):
+        k = random_block_psd_kernel(6, 2, 12, seed=seed)  # full rank: B is positive definite
+        for alpha in (1, 2):
+            b = bound_constant(k, S, A, alpha, restarts=restarts, seed=seed)
+            lower, upper, t, h = full_search_bound(k, S, A, alpha, restarts=restarts, seed=seed)
+            assert b.upper > 1.5 * b.lower  # the bracket stays open
+            assert b.diagnostics["climbs"] == k.m + restarts
+            assert (b.lower, b.upper) == (lower, upper)
+            assert np.array_equal(b.witness_t, t) and np.array_equal(b.witness_h, h)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gns", "random"]),
+    g=st.integers(2, 6),
+    d=st.sampled_from([1, 2]),
+    alpha=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_bound_early_stop_keeps_the_full_search_answer(kind, g, d, alpha, seed):
+    S = cyclic_group(g)
+    A = left_translation_action(S)
+    alpha %= g
+    if kind == "gns":
+        k = gns_instance(S, gns_phi(g, d, np.random.default_rng(seed))).kernel
+    else:
+        k = random_block_psd_kernel(g, 2, 2, seed=seed)
+    restarts, tol = 4, 1e-9
+    rel = max(tol, 1e-12)
+    b = bound_constant(k, S, A, alpha, restarts=restarts, seed=seed, tol=tol)
+    lower, upper, t, h = full_search_bound(k, S, A, alpha, restarts=restarts, seed=seed, tol=tol)
+    assert 1 <= b.diagnostics["climbs"] <= k.m + restarts
+    assert b.upper == upper
+    if b.diagnostics["climbs"] == k.m + restarts:
+        assert b.lower == lower
+        assert np.array_equal(b.witness_t, t) and np.array_equal(b.witness_h, h)
+    else:
+        assert b.lower <= lower and b.lower >= (1.0 - rel) * lower
+        assert b.lower**2 >= (1.0 - rel) * b.upper**2
+    ratio = raw_witness_ratio(k, A.table[alpha], b.witness_t, b.witness_h)
+    assert np.sqrt(max(ratio, 0.0)) == pytest.approx(b.lower, rel=1e-10, abs=1e-12)
+
+
+def test_bound_positive_scalar_kernel_stops_after_one_climb():
+    S = cyclic_group(5)
+    A = left_translation_action(S)
+    k = circulant_kernel(5, np.fft.ifft([1.0, 0.6, 0.3, 0.3, 0.6]))
+    for alpha in range(5):
+        b = bound_constant(k, S, A, alpha)
+        assert b.diagnostics["climbs"] == 1
+        assert b.lower == pytest.approx(b.upper, rel=1e-9)
+
+
+def test_bound_indefinite_denominator_runs_every_climb():
+    # k = diag(1, -1, 0) with the element sending points 1 and 2 to the null
+    # point 2: B_a = diag(1, 0, 0) vanishes on B's null and negative
+    # directions, and every climb reaches upper = 1.  Yet t = (a, b, 0) gives
+    # the ratio |a|^2 / (|a|^2 - |b|^2) > 1, so the bracket is not closed.
+    S = idempotent_pair()
+    A = Action(np.array([[0, 1, 2], [0, 2, 2]]))
+    b = bound_constant(scalar_kernel(np.diag([1.0, -1.0, 0.0])), S, A, 1, restarts=4)
+    assert b.diagnostics["denominator_indefinite"] is True and b.diagnostics["null_leak"] == 0.0
+    assert b.lower == b.upper == 1.0
+    assert b.diagnostics["climbs"] == 3 + 4
 
 
 # -------------------------------------------------------------- equivalence
