@@ -18,7 +18,6 @@ from .dilation import (
     BoundEstimate,
     KolmogorovDecomposition,
     StarRepresentation,
-    VESpaceRealized,
     bound_constant,
     build_kolmogorov,
     build_representation,
@@ -75,7 +74,6 @@ from .lifts import (
 )
 from .repkernel import RKSpace, build_rk, reconstruct_kernel, rk_representation, verify_reproducing
 from .zspace import (
-    GramTensor,
     ZSpaceDescriptor,
     gram_pair,
     hermitian_space,

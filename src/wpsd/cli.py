@@ -188,12 +188,13 @@ def task_validate(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     kernel, action, _ = art.lifted
     if p.semigroup is not None and action is not None:
         out["violations"] += validate_action(p.semigroup, action, kernel.m)
+    structural = tols["structural"] * kernel.entry_scale
     defect = hermitian_defect_kernel(kernel)
     out["hermitian_defect"] = defect
-    if not is_hermitian(kernel):
+    if not is_hermitian(kernel, structural):
         out["violations"].append(f"kernel not Hermitian: defect {defect:.3e}")
     if p.semigroup is not None and action is not None and not out["violations"]:
-        inv = is_invariant(kernel, p.semigroup, action, tols["structural"])
+        inv = is_invariant(kernel, p.semigroup, action, structural)
         out["invariance_violations"] = [list(v) for v in inv[:16]]
         if inv:
             out["violations"].append(f"kernel not invariant ({len(inv)} triples)")
@@ -262,7 +263,8 @@ def task_lift(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     _, _, lk = art.lifted
     inv = []
     if p.semigroup is not None and lk.action is not None:
-        inv = is_invariant(lk.kernel, p.semigroup, lk.action, opts["tolerances"]["structural"])
+        structural = opts["tolerances"]["structural"] * lk.kernel.entry_scale
+        inv = is_invariant(lk.kernel, p.semigroup, lk.action, structural)
     out = {"lifted": sz.lifted_to_json(lk), "invariance_violations": [list(v) for v in inv[:16]]}
     return out, (0 if not inv else 1)
 

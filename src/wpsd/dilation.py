@@ -3,10 +3,11 @@
 The construction realises the linearisation space inside the space of
 matrix-valued functions on the point set: the columns ``x -> k(., x)`` span
 it, a rank-revealing pivoted orthogonalisation selects a function basis, the
-metric on the basis is the kernel evaluated at the pivot points, and the map
-``V`` sends each point to the least-squares coordinates of its column.  For
-an invariant kernel the representation acts by pushing columns along the
-action, which fixes its matrices on the selected basis.
+metric on the basis (the gram) is the kernel restricted to the pivot points,
+held as a ``Kernel`` of its own, and the map ``V`` sends each point to the
+least-squares coordinates of its column.  For an invariant kernel the
+representation acts by pushing columns along the action, which fixes its
+matrices on the selected basis.
 
 Elements of the realised space exist in two guises: realised functions
 (arrays of shape ``(m, d, d)``) and coefficient vectors; equality is always
@@ -35,60 +36,43 @@ from .kernels import (
     Kernel,
     block_matrix,
     direction_form,
-    entry_scale,
-    is_hermitian,
+    hermitian_defect_kernel,
     is_invariant,
     pair_value,
     quad_form,
 )
-from .zspace import GramTensor, ZSpaceDescriptor, hermitian_part, pair_coords
+from .zspace import hermitian_part, pair_coords
 
 DEFAULT_RANK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class VESpaceRealized:
-    """A finite-dimensional function space with a matrix-valued metric.
-
-    Basis vector ``i`` is the kernel column at point ``pivots[i]``; ``gram``
-    is its metric.
-    """
-
-    gram: GramTensor = field()
-    pivots: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "pivots", tuple(int(p) for p in self.pivots))
-
-    @property
-    def n(self) -> int:
-        return self.gram.n
 
 
 @dataclass(frozen=True)
 class KolmogorovDecomposition:
     """Pair (space, V) with ``[V(x), V(y)] = k(x, y)`` and ``V(X)`` spanning.
 
-    ``V[x]`` holds the coordinates of point ``x`` in the basis; minimality is
-    automatic because the basis functions are themselves selected columns.
-    ``residual`` is the worst entrywise reconstruction error over all
-    columns.
+    Basis vector ``i`` is the kernel column at point ``pivots[i]``, and
+    ``gram`` is the metric on the basis: the kernel restricted to the pivot
+    points, over the kernel's value space.  ``V[x]`` holds the coordinates
+    of point ``x`` in the basis; minimality is automatic because the basis
+    functions are themselves selected columns.  ``residual`` is the worst
+    entrywise reconstruction error over all columns.
     """
 
-    space: VESpaceRealized
+    gram: Kernel
+    pivots: tuple
     V: np.ndarray = field()  # (m, n)
     residual: float = 0.0
-    zspace: ZSpaceDescriptor = field(default_factory=ZSpaceDescriptor)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "pivots", tuple(int(p) for p in self.pivots))
         v = np.asarray(self.V, dtype=complex)
         v.flags.writeable = False
         object.__setattr__(self, "V", v)
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return self.gram.m
 
     @property
     def m(self) -> int:
@@ -141,23 +125,26 @@ def _columns(k: Kernel) -> np.ndarray:
     return k.table.transpose(1, 0, 2, 3).reshape(m, m * d * d).T.copy()
 
 
-def _pivoted_basis(C: np.ndarray, unit: float, rank_tol: float, pivot_order=None) -> list[int]:
+def _pivoted_basis(C: np.ndarray, unit: float, rank_tol: float, pivot_order=None):
     """Select pivot columns of ``unit * C`` by modified Gram-Schmidt.
 
     ``unit`` is a power of two, so the scaling is exact.  Greedy mode picks
     the largest residual column (ties to the lowest index); with an explicit
     ``pivot_order`` the columns are scanned in that order and every column
-    whose residual exceeds the tolerance is taken.
+    whose residual exceeds the tolerance is taken.  Returns the pivots and,
+    for each, the residual norm that was compared against ``rank_tol``.
     """
     m = C.shape[1]
     R = unit * np.asarray(C, dtype=complex)
     pivots: list[int] = []
+    cut_norms: list[float] = []
 
-    def take(x):
+    def take(x, norm):
         q = R[:, x] / np.linalg.norm(R[:, x])
         R[:, :] -= np.outer(q, q.conj() @ R)
         R[:, x] = 0.0
         pivots.append(int(x))
+        cut_norms.append(float(norm))
 
     if pivot_order is None:
         while True:
@@ -165,15 +152,16 @@ def _pivoted_basis(C: np.ndarray, unit: float, rank_tol: float, pivot_order=None
             x = int(np.argmax(norms))
             if norms[x] <= rank_tol:
                 break
-            take(x)
+            take(x, norms[x])
     else:
         order = [int(x) for x in pivot_order]
         if sorted(order) != list(range(m)):
             raise SchemaError("pivot_order must be a permutation of the point indices")
         for x in order:
-            if np.linalg.norm(R[:, x]) > rank_tol:
-                take(x)
-    return pivots
+            norm = np.linalg.norm(R[:, x])
+            if norm > rank_tol:
+                take(x, norm)
+    return pivots, cut_norms
 
 
 def build_kolmogorov(
@@ -191,31 +179,33 @@ def build_kolmogorov(
     negative.  Functions with vanishing self-form are the zero function in
     this realisation, so no quotient is needed.
 
-    Raises ``NotHermitianError`` or ``WeakPositivityError``; an unstable
-    numerical rank (different pivot counts one decade apart in tolerance) is
-    reported in ``diagnostics['rank_unstable']``, not fatal.
+    Raises ``NotHermitianError`` or ``WeakPositivityError``.  An unstable
+    numerical rank is reported in ``diagnostics['rank_unstable']``, not
+    fatal: some pivot was taken with a residual norm within a decade of the
+    cut.  In greedy mode that is exactly when the pivot count at ten times
+    the tolerance differs; with a ``pivot_order`` it only says that some
+    pivot lies within a decade of the cut.
     """
-    scale = entry_scale(k)
-    if not is_hermitian(k, tol * scale):
-        raise NotHermitianError(
-            f"kernel Hermitian defect {np.max(np.abs(k.table - k.table.conj().transpose(1, 0, 3, 2))):.3e}"
-        )
+    scale = k.entry_scale
+    defect = hermitian_defect_kernel(k)
+    if defect > tol * scale:
+        raise NotHermitianError(f"kernel Hermitian defect {defect:.3e}")
     m, d = k.m, k.d
-    if pivot_order is not None:
-        pivot_order = [int(x) for x in pivot_order]
     C = _columns(k)
     # Pivots are chosen on the columns scaled by the power of two just above
-    # ``scale``: the scaling is exact, and the column norms cannot overflow.
-    unit = 2.0 ** -np.frexp(scale)[1]
+    # their largest entry: the scaling is exact, and the column norms neither
+    # overflow nor underflow.  The exponent is capped so that ``unit`` stays
+    # finite for subnormal entries.
+    exponent = int(np.frexp(np.max(np.abs(C), initial=0.0))[1])
+    unit = 2.0 ** min(-exponent, 1000)
     col_scale = float(np.max(np.linalg.norm(C * unit, axis=0))) if m else 0.0
     rank_tol = tol * col_scale
-    pivots = _pivoted_basis(C, unit, rank_tol, pivot_order) if col_scale > 0 else []
-    n = len(pivots)
-
     diagnostics: dict = {}
+    pivots: list[int] = []
     if col_scale > 0:
-        alt = _pivoted_basis(C, unit, 10.0 * rank_tol, pivot_order)
-        diagnostics["rank_unstable"] = len(alt) != n
+        pivots, cut_norms = _pivoted_basis(C, unit, rank_tol, pivot_order)
+        diagnostics["rank_unstable"] = any(norm <= 10.0 * rank_tol for norm in cut_norms)
+    n = len(pivots)
 
     def probe(forms, coeffs, what) -> float:
         """Least eigenvalue over the forms of the columns of ``coeffs``; raises on a negative one."""
@@ -235,9 +225,9 @@ def build_kolmogorov(
     probe_min = probe(k.table[points, points], np.eye(m, dtype=complex), "diagonal value")
 
     if n == 0:
-        space = VESpaceRealized(GramTensor(np.zeros((0, 0, d, d), dtype=complex)), ())
+        gram = Kernel(k.space, np.zeros((0, 0, d, d), dtype=complex))
         residual = float(np.max(np.abs(C))) if m else 0.0
-        return KolmogorovDecomposition(space, np.zeros((m, 0), dtype=complex), residual, k.space, diagnostics)
+        return KolmogorovDecomposition(gram, (), np.zeros((m, 0), dtype=complex), residual, diagnostics)
 
     B = C[:, pivots]
     W, *_ = np.linalg.lstsq(B, C, rcond=None)  # (n, m)
@@ -250,20 +240,23 @@ def build_kolmogorov(
     forms = pair_coords(k.table, R, R)[points, points]
     diagnostics["probe_min"] = min(probe_min, probe(forms, R, "residual coefficient form"))
 
-    gram = GramTensor(k.table[np.ix_(pivots, pivots)].copy())
-    space = VESpaceRealized(gram, tuple(pivots))
-    return KolmogorovDecomposition(space, V, residual, k.space, diagnostics)
+    gram = Kernel(k.space, k.table[np.ix_(pivots, pivots)])
+    return KolmogorovDecomposition(gram, pivots, V, residual, diagnostics)
+
+
+def linearised_kernel(dec: KolmogorovDecomposition) -> Kernel:
+    """The kernel ``(x, y) -> [V(x), V(y)]`` that a decomposition determines."""
+    return Kernel(dec.gram.space, pair_coords(dec.gram.table, dec.V.T, dec.V.T))
 
 
 def verify_linearisation(dec: KolmogorovDecomposition, k: Kernel) -> float:
     """Worst entrywise gap between ``[V(x), V(y)]`` and ``k(x, y)``."""
     if dec.m != k.m:
         raise SchemaError("decomposition and kernel have different point counts")
-    rebuilt = pair_coords(dec.space.gram.blocks, dec.V.T, dec.V.T)
-    return float(np.max(np.abs(rebuilt - k.table))) if k.m else 0.0
+    return float(np.max(np.abs(linearised_kernel(dec).table - k.table))) if k.m else 0.0
 
 
-def _representation_defects(matrices, gram: GramTensor, coords, act_table, S: StarSemigroup):
+def _representation_defects(matrices, gram: Kernel, coords, act_table, S: StarSemigroup):
     """Multiplication, star and intertwining defects of a matrix family.
 
     ``mult`` is the exact spectral norm of ``pi(ab) - pi(a) pi(b)``,
@@ -276,8 +269,8 @@ def _representation_defects(matrices, gram: GramTensor, coords, act_table, S: St
     if n == 0:
         return 0.0, 0.0, 0.0
     d = gram.d
-    rows = gram.blocks.reshape(n, n * d * d)  # [a, (j, c, e)]
-    cols = gram.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n)  # [(i, c, e), b]
+    rows = gram.table.reshape(n, n * d * d)  # [a, (j, c, e)]
+    cols = gram.table.transpose(0, 2, 3, 1).reshape(n * d * d, n)  # [(i, c, e), b]
     mult = star = inter = 0.0
     for a in range(g):
         gaps = matrices[S.mult[a]] - matrices[a] @ matrices
@@ -312,13 +305,13 @@ def build_representation(
             violations,
         )
     g = S.size
-    pivots = list(dec.space.pivots)
+    pivots = list(dec.pivots)
     mats = np.ascontiguousarray(dec.V[A.table[:, pivots]].transpose(0, 2, 1))
-    mult, star, inter = _representation_defects(mats, dec.space.gram, dec.V, A.table, S)
+    mult, star, inter = _representation_defects(mats, dec.gram, dec.V, A.table, S)
 
     # Push-forward cross-check: transporting a coefficient vector along the
     # action must agree with the matrix acting on its coordinates.
-    scale = entry_scale(k)
+    scale = k.entry_scale
     push = 0.0
     rng = np.random.default_rng(7)
     coeff = rng.standard_normal(k.m) + 1j * rng.standard_normal(k.m)
@@ -396,7 +389,7 @@ def bound_constant(
         raise SchemaError("element index out of range")
     act = A.table[alpha]
     k_a = Kernel(k.space, k.table[np.ix_(act, act)])
-    scale = entry_scale(k)
+    scale = k.entry_scale
     rel = max(tol, 1e-12)
 
     B = hermitian_part(block_matrix(k))
@@ -492,11 +485,9 @@ def unitary_equivalence(
         )
     Ut, *_ = np.linalg.lstsq(dec1.V, dec2.V, rcond=None)
     U = Ut.T
-    G1, G2 = dec1.space.gram, dec2.space.gram
-    iso = float(np.max(np.abs(pair_coords(G2.blocks, U, U) - G1.blocks))) if dec1.n else 0.0
+    iso = float(np.max(np.abs(pair_coords(dec2.gram.table, U, U) - dec1.gram.table))) if dec1.n else 0.0
     inter = float(np.max(np.abs(dec1.V @ U.T - dec2.V))) if dec1.n else 0.0
-    scale = 1.0 + (float(np.max(np.abs(G1.blocks))) if dec1.n else 0.0)
-    if max(iso, inter) > tol * scale:
+    if max(iso, inter) > tol * dec1.gram.entry_scale:
         raise NoIsometryError(
             f"no isometry: defects {iso:.3e}/{inter:.3e} exceed tolerance",
             isometry_defect=iso,
@@ -521,7 +512,7 @@ def linearity_preservation_check(
     entrywise first; if it fails the check refuses with the witness pair
     rather than returning a vacuous answer.
     """
-    scale = entry_scale(k)
+    scale = k.entry_scale
     lhs = k.table[:, A.table[alpha]] + k.table[:, A.table[beta]]
     rhs = k.table[:, A.table[gamma]]
     gap = np.abs(lhs - rhs)

@@ -108,11 +108,6 @@ class PositivityVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def entry_scale(k: Kernel) -> float:
-    """1 + the largest operator norm among the table entries."""
-    return k.entry_scale
-
-
 def adjoint_kernel(k: Kernel) -> Kernel:
     """The kernel ``(x, y) -> k(y, x)*``."""
     return Kernel(k.space, involution(k.table).transpose(1, 0, 2, 3))
@@ -126,7 +121,7 @@ def hermitian_defect_kernel(k: Kernel) -> float:
 
 def is_hermitian(k: Kernel, tol: float | None = None) -> bool:
     if tol is None:
-        tol = 1e-9 * entry_scale(k)
+        tol = 1e-9 * k.entry_scale
     return hermitian_defect_kernel(k) <= tol
 
 
@@ -137,7 +132,7 @@ def is_invariant(k: Kernel, S, A, tol: float | None = None) -> list[tuple]:
             f"action table shape {A.table.shape} does not match ({S.size}, {k.m})"
         )
     if tol is None:
-        tol = 1e-9 * entry_scale(k)
+        tol = 1e-9 * k.entry_scale
     out = []
     for s in range(S.size):
         lhs = k.table[:, A.table[s]]  # lhs[y, x] = k(y, s.x)
@@ -184,7 +179,7 @@ def strong_positivity(k: Kernel, tol: float = 1e-9):
         return 0.0, True
     B = block_matrix(k)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(B)).min())
-    return min_eig, bool(min_eig >= -tol * entry_scale(k))
+    return min_eig, bool(min_eig >= -tol * k.entry_scale)
 
 
 def verify_witness(k: Kernel, w: Witness, threshold: float) -> bool:
@@ -265,12 +260,12 @@ def weak_positivity(
     restart has a pre-derived seed and results are reduced by value, then by
     restart index.
     """
-    scale = entry_scale(k)
-    thresh = tol * scale
+    thresh = tol * k.entry_scale
     diagnostics: dict = {"restarts": 0, "non_converged": 0}
 
-    if not is_hermitian(k, thresh):
-        diagnostics["hermitian_defect"] = hermitian_defect_kernel(k)
+    defect = hermitian_defect_kernel(k)
+    if defect > thresh:
+        diagnostics["hermitian_defect"] = defect
         w = _nonhermitian_witness(k, thresh)
         return PositivityVerdict(STATUS_NOT_POSITIVE, METHOD_WITNESS, w, w.value, diagnostics)
 
@@ -342,7 +337,7 @@ def twopos_diagnostics(k: Kernel, tol: float | None = None):
     weakly 2-positive.
     """
     if tol is None:
-        tol = 1e-9 * entry_scale(k)
+        tol = 1e-9 * k.entry_scale
     norms = np.linalg.norm(k.table, ord=2, axis=(2, 3)) if k.m else np.zeros((0, 0))
     X0 = [x for x in range(k.m) if norms[x, x] <= tol]
     X1 = [x for x in range(k.m) if norms[x, x] > tol]

@@ -28,6 +28,7 @@ from .errors import (
     NotAdjointableError,
     SchemaError,
 )
+from .dilation import linearised_kernel
 from .kernels import Kernel
 from .zspace import ZSpaceDescriptor, hermitian_space, pair_coords, scalar_space
 
@@ -218,8 +219,8 @@ def recover_operator_dilation(dec, H: VEModuleH, l: np.ndarray):
     if dec.V.shape[0] != m * dim or l.shape[0] != m:
         raise SchemaError("decomposition size does not match the lifted index set")
     Vt = dec.V.reshape(m, dim, dec.n).transpose(0, 2, 1)  # (m, n, dim)
-    dz = dec.space.gram.d
-    lhs = pair_coords(dec.space.gram.blocks, dec.V.T, dec.V.T).reshape(m, dim, m, dim, dz, dz)
+    dz = dec.gram.d
+    lhs = linearised_kernel(dec).table.reshape(m, dim, m, dim, dz, dz)
     target = _basis_pairings(H, l).transpose(1, 2, 0, 3, 4, 5)  # [l(y, x) b_i, b_j] at (x, i, y, j)
     return Vt, float(np.max(np.abs(lhs - target)))
 
@@ -290,7 +291,7 @@ def verify_factorization(T: SemigroupMapT, S: StarSemigroup, dec, rep) -> float:
     A = dec.V[e * q : (e + 1) * q].T  # (n, q)
     n, d = dec.n, T.space.dim
     PA = (rep.matrices @ A).transpose(1, 0, 2).reshape(n, S.size * q)  # [b, (t, i)] of pi(t) A
-    lhs = pair_coords(dec.space.gram.blocks, A, PA)  # [j, (t, i), c, e]
+    lhs = pair_coords(dec.gram.table, A, PA)  # [j, (t, i), c, e]
     lhs = lhs.reshape(q, S.size, q, d, d).transpose(1, 0, 2, 3, 4)
     return float(np.max(np.abs(lhs - T.tensors)))
 

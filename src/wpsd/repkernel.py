@@ -2,9 +2,10 @@
 
 The space consists of the functions ``x -> [V(x), h]`` for ``h`` in the
 decomposition space; transporting the metric along ``h -> [V(.), h]`` makes
-that correspondence a unitary, so coordinates carry over unchanged.  The
-point evaluations ``k_x = k(., x)`` then have coordinates ``V[x]`` and
-reproduce every function: ``f(x) = [k_x, f]``.
+that correspondence a unitary, so coordinates carry over unchanged: the
+space reads its metric (``source.gram``) and the coordinates ``V[x]`` of
+the point evaluations ``k_x = k(., x)`` from its source decomposition.  The
+point evaluations reproduce every function: ``f(x) = [k_x, f]``.
 """
 
 from __future__ import annotations
@@ -14,35 +15,33 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import Action, StarSemigroup
-from .dilation import KolmogorovDecomposition, StarRepresentation, build_representation
+from .dilation import (
+    KolmogorovDecomposition,
+    StarRepresentation,
+    build_representation,
+    linearised_kernel,
+    verify_linearisation,
+)
 from .errors import IllDefinedError, InjectivityFailureError, SchemaError
-from .kernels import Kernel, entry_scale
-from .zspace import GramTensor, ZSpaceDescriptor, pair_coords
+from .kernels import Kernel
 
 
 @dataclass(frozen=True)
 class RKSpace:
     """Function space with reproducing point evaluations.
 
-    ``functions[i]`` realises basis vector ``i`` as an ``(m, d, d)`` array;
-    ``point_coords[x]`` are the coordinates of ``k_x`` in that basis; the
-    metric is the one transported from the source decomposition, which is
-    kept: its representation is carried across to the space.
+    ``functions[i]`` realises basis vector ``i`` as an ``(m, d, d)`` array.
+    The metric and the point coordinates are those of ``source``, whose
+    representation is carried across to the space.
     """
 
     functions: np.ndarray = field()  # (n, m, d, d)
-    gram: GramTensor = field()
-    point_coords: np.ndarray = field()  # (m, n)
-    zspace: ZSpaceDescriptor = field()
     source: KolmogorovDecomposition = field()
 
     def __post_init__(self):
         f = np.asarray(self.functions, dtype=complex)
         f.flags.writeable = False
         object.__setattr__(self, "functions", f)
-        c = np.asarray(self.point_coords, dtype=complex)
-        c.flags.writeable = False
-        object.__setattr__(self, "point_coords", c)
 
     @property
     def n(self) -> int:
@@ -53,11 +52,11 @@ class RKSpace:
         return self.functions.shape[1]
 
 
-def _realise(coords: np.ndarray, G: GramTensor) -> np.ndarray:
+def _realise(dec: KolmogorovDecomposition) -> np.ndarray:
     """Basis functions ``f_i(x) = [k_x, e_i]`` as an ``(n, m, d, d)`` array."""
-    n, d = G.n, G.d
-    paired = np.conj(coords) @ G.blocks.reshape(n, n * d * d)  # [x, (i, c, e)]
-    return paired.reshape(coords.shape[0], n, d, d).transpose(1, 0, 2, 3)
+    n, d = dec.n, dec.gram.d
+    paired = np.conj(dec.V) @ dec.gram.table.reshape(n, n * d * d)  # [x, (i, c, e)]
+    return paired.reshape(dec.m, n, d, d).transpose(1, 0, 2, 3)
 
 
 def build_rk(dec: KolmogorovDecomposition) -> RKSpace:
@@ -68,20 +67,19 @@ def build_rk(dec: KolmogorovDecomposition) -> RKSpace:
     minimal at its working tolerance.
     """
     n = dec.n
-    functions = _realise(dec.V, dec.space.gram)
+    functions = _realise(dec)
     if n:
         s = np.linalg.svd(functions.reshape(n, -1), compute_uv=False)
         if s[-1] <= 1e-10 * max(s[0], 1.0):
             raise InjectivityFailureError(
                 "realised functions are linearly dependent; source decomposition not minimal"
             )
-    return RKSpace(functions, dec.space.gram, dec.V, dec.zspace, dec)
+    return RKSpace(functions, dec)
 
 
 def reconstruct_kernel(rk: RKSpace) -> Kernel:
     """The kernel determined by the space: ``k(x, y) = [k_x, k_y]``."""
-    coords = rk.point_coords.T
-    return Kernel(rk.zspace, pair_coords(rk.gram.blocks, coords, coords))
+    return linearised_kernel(rk.source)
 
 
 def verify_reproducing(rk: RKSpace, k: Kernel) -> float:
@@ -92,10 +90,8 @@ def verify_reproducing(rk: RKSpace, k: Kernel) -> float:
     """
     if k.m != rk.m:
         raise SchemaError("kernel and space have different point counts")
-    paired = _realise(rk.point_coords, rk.gram)
-    d1 = float(np.max(np.abs(paired - rk.functions))) if rk.n else 0.0
-    d2 = float(np.max(np.abs(reconstruct_kernel(rk).table - k.table))) if k.m else 0.0
-    return max(d1, d2)
+    d1 = float(np.max(np.abs(_realise(rk.source) - rk.functions))) if rk.n else 0.0
+    return max(d1, verify_linearisation(rk.source, k))
 
 
 def rk_representation(
@@ -117,12 +113,12 @@ def rk_representation(
     k = reconstruct_kernel(rk)
     pi = build_representation(rk.source, k, S, A, tol)
     F = rk.functions
-    flat = F.reshape(rk.n, rk.m * rk.gram.d**2)
+    flat = F.reshape(rk.n, rk.m * k.d**2)
     conj = 0.0
     for s in range(S.size):
         moved = (pi.matrices[s].T @ flat).reshape(F.shape)
         conj = max(conj, float(np.abs(moved - F[:, A.table[S.inv[s]]]).max(initial=0.0)))
-    if conj > tol * (1.0 + entry_scale(k)):
+    if conj > tol * (1.0 + k.entry_scale):
         raise IllDefinedError(
             f"representation disagrees with the action on realised functions by {conj:.3e}"
         )

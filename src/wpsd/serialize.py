@@ -168,11 +168,10 @@ def verdict_to_json(v: PositivityVerdict) -> dict:
 
 
 def decomposition_to_json(dec) -> dict:
-    G = dec.space.gram
     return {
         "n": dec.n,
-        "pivots": list(dec.space.pivots),
-        "gram": carray_to_json(G.blocks),
+        "pivots": list(dec.pivots),
+        "gram": carray_to_json(dec.gram.table),
         "V": cmatrix_to_json(dec.V),
         "residual": float(dec.residual),
         "diagnostics": {k: _plain(x) for k, x in dec.diagnostics.items()},
@@ -199,12 +198,6 @@ def bound_to_json(b) -> dict:
         else {"t": cvector_to_json(b.witness_t), "h": cvector_to_json(b.witness_h)},
         "diagnostics": {k: _plain(x) for k, x in b.diagnostics.items()},
     }
-
-
-def module_to_json(H: VEModuleH) -> dict:
-    if H.kind == "hilbert":
-        return {"kind": "hilbert", "r": H.r}
-    return {"kind": "matrix_module", "d": H.d, "kcols": H.kcols}
 
 
 def module_from_json(obj) -> VEModuleH:

@@ -6,20 +6,24 @@ the conjugate transpose as involution and the positive semidefinite cone.
 Elements of either space are plain ``(d, d)`` complex arrays (scalars as
 ``1 x 1``), so a single code path serves both.
 
-A gram tensor is an ``n x n`` table of such elements acting as a
-matrix-valued metric on coefficient vectors in ``C^n``.  The pairing it
-induces is conjugate-linear in the first slot and linear in the second.
-All functions here are pure; arrays inside the frozen containers are marked
-read-only.
+A gram is an ``n x n`` table of such elements acting as a matrix-valued
+metric on coefficient vectors in ``C^n``.  It is a ``Kernel`` on the basis
+(for a decomposition, the kernel restricted to the pivot points), and the
+functions here take it as one.  The pairing it induces is conjugate-linear
+in the first slot and linear in the second.  All functions here are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SchemaError
+
+if TYPE_CHECKING:
+    from .kernels import Kernel
 
 SEMINORM_TAGS = ("operator", "trace")
 
@@ -28,12 +32,6 @@ SEMINORM_TAGS = ("operator", "trace")
 #: smaller; claims of 2 in the literature have not survived scrutiny, so the
 #: proven value 4 is used and the empirical ratio is merely reported.
 SCHWARZ_CONSTANT = 4.0
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -132,62 +130,36 @@ def leq(a, b, space: ZSpaceDescriptor) -> bool:
     return in_cone(b - a, space)
 
 
-@dataclass(frozen=True)
-class GramTensor:
-    """An ``n x n`` table of ``d x d`` elements serving as a metric.
-
-    Valid gram tensors are Hermitian-symmetric across the block transpose
-    and weakly positive: every scalar-coefficient quadratic contraction must
-    land in the positive cone.  Construction only checks shape; use
-    :func:`validate_gram` (or the kernel-level positivity verifier) for the
-    order-theoretic invariants.
-    """
-
-    blocks: np.ndarray = field()  # (n, n, d, d)
-
-    def __post_init__(self):
-        b = _readonly(self.blocks)
-        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
-            raise SchemaError(f"gram tensor must have shape (n, n, d, d), got {b.shape}")
-        object.__setattr__(self, "blocks", b)
-
-    @property
-    def n(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.blocks.shape[2]
-
-
-def validate_gram(G: GramTensor, space: ZSpaceDescriptor) -> list[str]:
+def validate_gram(G: Kernel) -> list[str]:
     """Structural gram invariants: block symmetry and diagonal positivity.
 
-    Weak positivity of the full metric is deliberately left to the kernel
-    verifier, which owns the search machinery.
+    The symmetry defect is held to the space's tolerance times the gram's
+    entry scale.  Weak positivity of the full metric is deliberately left to
+    the kernel verifier, which owns the search machinery.
     """
+    from .kernels import hermitian_defect_kernel  # kernels builds on this module
+
     out = []
-    sym = float(np.max(np.abs(G.blocks - involution(G.blocks).transpose(1, 0, 2, 3)))) if G.n else 0.0
-    scale = 1.0 + (float(np.max(np.abs(G.blocks))) if G.n else 0.0)
-    if sym > space.tolerance * scale:
+    sym = hermitian_defect_kernel(G)
+    if sym > G.space.tolerance * G.entry_scale:
         out.append(f"hermitian symmetry defect {sym:.3e}")
-    for i in range(G.n):
-        if not in_cone(G.blocks[i, i], space):
+    for i in range(G.m):
+        if not in_cone(G.table[i, i], G.space):
             out.append(f"diagonal block {i} outside the positive cone")
     return out
 
 
-def _check_coeff(G: GramTensor, u) -> np.ndarray:
+def _check_coeff(G: Kernel, u) -> np.ndarray:
     u = np.asarray(u, dtype=complex).reshape(-1)
-    if u.shape[0] != G.n:
-        raise SchemaError(f"coefficient vector length {u.shape[0]} != gram size {G.n}")
+    if u.shape[0] != G.m:
+        raise SchemaError(f"coefficient vector length {u.shape[0]} != gram size {G.m}")
     return u
 
 
 def pair_coords(blocks: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """All pairings ``sum_ab conj(U[a, i]) W[b, j] blocks[a, b]`` as an ``(i, j, d, d)`` array.
 
-    ``blocks`` is a raw ``(n, n, d, d)`` table (a gram tensor or a kernel).
+    ``blocks`` is a raw ``(n, n, d, d)`` table, such as a gram's or a kernel's.
     The leading index is contracted first, through a copy-free reshape, and
     the second one as one more matrix product.
     """
@@ -198,19 +170,19 @@ def pair_coords(blocks: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (W.T @ left).reshape(q, p, d, d).transpose(1, 0, 2, 3)
 
 
-def gram_pair(G: GramTensor, u, v) -> np.ndarray:
+def gram_pair(G: Kernel, u, v) -> np.ndarray:
     """Pairing ``sum_ij conj(u_i) v_j G[i, j]``; an element of the value space."""
     u = _check_coeff(G, u)
     v = _check_coeff(G, v)
-    return pair_coords(G.blocks, u[:, None], v[:, None])[0, 0]
+    return pair_coords(G.table, u[:, None], v[:, None])[0, 0]
 
 
-def polarisation_check(G: GramTensor, u, v) -> float:
+def polarisation_check(G: Kernel, u, v) -> float:
     """Defect of the polarisation identity recovering the pairing from squares.
 
     With the pairing linear in its second slot, the identity reads
     ``4 [u, v] = sum_k (-i)^k [u + i^k v, u + i^k v]``.  The defect is zero up
-    to rounding on every gram tensor; it measures arithmetic consistency, not
+    to rounding on every gram; it measures arithmetic consistency, not
     positivity.
     """
     u = _check_coeff(G, u)
@@ -222,10 +194,10 @@ def polarisation_check(G: GramTensor, u, v) -> float:
     return float(np.max(np.abs(acc - 4.0 * gram_pair(G, u, v))))
 
 
-def schwarz_check(G: GramTensor, u, v, tag: str = "operator", tol: float | None = None):
+def schwarz_check(G: Kernel, u, v, tag: str = "operator", tol: float | None = None):
     """Schwarz-type bound ``p([u,v]) <= 4 p([u,u])^{1/2} p([v,v])^{1/2}``.
 
-    Returns ``(lhs, rhs, holds)``.  Requires the gram tensor to be a weakly
+    Returns ``(lhs, rhs, holds)``.  Requires the gram to be a weakly
     positive metric; on indefinite input the bound can genuinely fail.
     """
     lhs = seminorm(gram_pair(G, u, v), tag)
@@ -237,6 +209,6 @@ def schwarz_check(G: GramTensor, u, v, tag: str = "operator", tol: float | None 
     return float(lhs), float(rhs), bool(lhs <= rhs + tol)
 
 
-def ve_seminorm(G: GramTensor, u, tag: str = "operator") -> float:
+def ve_seminorm(G: Kernel, u, tag: str = "operator") -> float:
     """Seminorm induced on coefficient vectors: ``p([u, u])^{1/2}``."""
     return float(np.sqrt(max(seminorm(gram_pair(G, u, u), tag), 0.0)))

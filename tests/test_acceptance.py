@@ -11,13 +11,14 @@ import pytest
 
 from wpsd import (
     Action,
-    GramTensor,
+    Kernel,
     bound_constant,
     build_kolmogorov,
     build_representation,
     build_rk,
     cyclic_group,
     gram_semigroup_map,
+    hermitian_space,
     idempotent_pair,
     left_regular_star_rep,
     left_translation_action,
@@ -32,7 +33,7 @@ from wpsd import (
     verify_linearisation,
     weak_positivity,
 )
-from wpsd.kernels import STATUS_NOT_POSITIVE, STATUS_POSITIVE, entry_scale
+from wpsd.kernels import STATUS_NOT_POSITIVE, STATUS_POSITIVE
 from wpsd.zspace import gram_pair, seminorm
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
@@ -82,7 +83,7 @@ def test_criterion_03_schwarz_surrogate():
     rng = np.random.default_rng(3)
     violations = 0
     max_ratio = 0.0
-    swap_gram = GramTensor(swap_kernel().table)
+    swap_gram = swap_kernel()
     for trial in range(10_000):
         if trial % 10 == 0:
             # a weakly-positive-only metric among the Gram-built ones
@@ -91,7 +92,7 @@ def test_criterion_03_schwarz_surrogate():
             n = int(rng.integers(2, 5))
             d = int(rng.integers(1, 3))
             F = rng.standard_normal((n, n + 1, d)) + 1j * rng.standard_normal((n, n + 1, d))
-            G = GramTensor(np.einsum("xra,yrb->xyab", F.conj(), F))
+            G = Kernel(hermitian_space(d), np.einsum("xra,yrb->xyab", F.conj(), F))
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         lhs, rhs, holds = schwarz_check(G, u, v, tol=1e-12)
@@ -124,7 +125,7 @@ def test_criterion_05_scalar_exactness():
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         k = scalar_kernel((a + a.conj().T) / 2)
         lam = float(np.linalg.eigvalsh(k.table[:, :, 0, 0]).min())
-        expected = STATUS_POSITIVE if lam >= -1e-9 * entry_scale(k) else STATUS_NOT_POSITIVE
+        expected = STATUS_POSITIVE if lam >= -1e-9 * k.entry_scale else STATUS_NOT_POSITIVE
         if weak_positivity(k, tol=1e-9).status != expected:
             disagreements += 1
     _report(5, disagreements == 0, f"{disagreements} disagreements with direct eigendecomposition over 1000 scalar kernels")

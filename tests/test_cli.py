@@ -341,6 +341,59 @@ def test_empty_semigroup_map_tensors_over_a_huge_space_exit_3(tmp_path):
     assert not out.exists()
 
 
+def _scaled_gns_problem(source, perturb):
+    """A GNS kernel on cyclic_group(4) times 1e8 whose entry pair (0, 1), (1, 0) moves by ``perturb`` relative."""
+    S = cyclic_group(4)
+    inst = gns_instance(S, np.fft.ifft([1.0, 0.6, 0.3, 0.8]))
+    table = 1e8 * np.array(inst.kernel.table)
+    table[0, 1] *= 1.0 + perturb
+    table[1, 0] = np.conj(table[0, 1])
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "semigroup": sz.semigroup_to_json(S),
+        "action": sz.action_to_json(inst.action),
+        "tasks": ["validate", "check-positivity"],
+        "options": {"seed": 1, "restarts": 2},
+    }
+    if source == "kernel":
+        prob["kernel"] = {"table": sz.carray_to_json(table)}
+    else:
+        prob["operator_kernel"] = {"module": {"kind": "hilbert", "r": 1}, "table": sz.carray_to_json(table)}
+        prob["tasks"].append("lift")
+    return prob
+
+
+@pytest.mark.parametrize("source", ["kernel", "operator_kernel"])
+def test_invariance_tolerance_is_relative_to_the_entry_scale(tmp_path, capsys, source):
+    # A rounding-level change of one entry pair of a kernel of size 1e8 is
+    # within the structural tolerance, as check-positivity already holds it.
+    path = write_problem(tmp_path, "p.json", _scaled_gns_problem(source, 1e-15))
+    assert main(["all", path, "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tasks"]["validate"]["violations"] == []
+    assert report["tasks"]["validate"]["invariance_violations"] == []
+    if source == "operator_kernel":
+        assert report["tasks"]["lift"]["invariance_violations"] == []
+    # A change far above rounding is still caught.
+    path = write_problem(tmp_path, "q.json", _scaled_gns_problem(source, 1e-6))
+    assert main(["validate", path, "--no-timestamp"]) == 1
+    assert "kernel not invariant" in json.loads(capsys.readouterr().out)["tasks"]["validate"]["violations"][0]
+
+
+def test_hermitian_check_follows_the_structural_tolerance(tmp_path, capsys):
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "kernel": sz.kernel_to_json(scalar_kernel([[2.0, 1.0 + 1e-6], [1.0, 2.0]])),
+        "tasks": ["validate"],
+    }
+    assert main(["validate", write_problem(tmp_path, "p.json", prob), "--no-timestamp"]) == 1
+    assert "not Hermitian" in json.loads(capsys.readouterr().out)["tasks"]["validate"]["violations"][0]
+    prob["options"] = {"tolerances": {"structural": 1e-5}}
+    assert main(["validate", write_problem(tmp_path, "q.json", prob), "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)["tasks"]["validate"]
+    assert report["violations"] == [] and report["hermitian_defect"] == pytest.approx(1e-6)
+
+
 def _fuzz_bases() -> list:
     """One small valid problem per input kind, each listing every task the kind supports.
 

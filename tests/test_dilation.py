@@ -34,9 +34,14 @@ from wpsd import (
     verify_linearisation,
 )
 from wpsd.cli import DEFAULT_TOLERANCES
-from wpsd.dilation import KolmogorovDecomposition, _representation_defects, _restricted_pencil_max
-from wpsd.kernels import block_matrix, direction_form, entry_scale, pair_value, quad_form
-from wpsd.zspace import GramTensor, hermitian_part
+from wpsd.dilation import (
+    DEFAULT_RANK_TOL,
+    KolmogorovDecomposition,
+    _representation_defects,
+    _restricted_pencil_max,
+)
+from wpsd.kernels import block_matrix, direction_form, pair_value, quad_form
+from wpsd.zspace import hermitian_part
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -65,7 +70,7 @@ def test_all_ones_kernel():
     dec = build_kolmogorov(k)
     assert dec.n == 1
     np.testing.assert_allclose(dec.V[0], dec.V[1], atol=1e-12)
-    np.testing.assert_allclose(dec.space.gram.blocks[0, 0], [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(dec.gram.table[0, 0], [[1.0]], atol=1e-12)
     assert verify_linearisation(dec, k) <= 1e-12
 
 
@@ -75,12 +80,12 @@ def test_identity_kernel():
     dec = build_kolmogorov(k)
     assert dec.n == m
     np.testing.assert_allclose(
-        dec.space.gram.blocks[:, :, 0, 0][np.ix_(np.argsort(dec.space.pivots), np.argsort(dec.space.pivots))],
+        dec.gram.table[:, :, 0, 0][np.ix_(np.argsort(dec.pivots), np.argsort(dec.pivots))],
         np.eye(m),
         atol=1e-12,
     )
     perm = np.zeros((m, m))
-    perm[np.arange(m), dec.space.pivots] = 1.0
+    perm[np.arange(m), dec.pivots] = 1.0
     np.testing.assert_allclose(dec.V @ perm, np.eye(m), atol=1e-12)
 
 
@@ -93,8 +98,8 @@ def test_swap_kernel_decomposition():
         for y in range(2):
             expected = np.zeros((2, 2))
             expected[y, x] = 1.0
-            i, j = dec.space.pivots.index(x), dec.space.pivots.index(y)
-            np.testing.assert_allclose(dec.space.gram.blocks[i, j], expected, atol=1e-12)
+            i, j = dec.pivots.index(x), dec.pivots.index(y)
+            np.testing.assert_allclose(dec.gram.table[i, j], expected, atol=1e-12)
     assert verify_linearisation(dec, k) <= 1e-12
 
 
@@ -127,7 +132,7 @@ def test_negative_diagonal_rejected():
 def test_verify_detects_corruption():
     k = random_block_psd_kernel(3, 1, 3, seed=2)
     dec = build_kolmogorov(k)
-    bad = KolmogorovDecomposition(dec.space, 2.0 * dec.V, dec.residual, dec.zspace)
+    bad = KolmogorovDecomposition(dec.gram, dec.pivots, 2.0 * dec.V, dec.residual)
     defect = verify_linearisation(bad, k)
     assert defect >= 2.9 * np.abs(k.table).max() * 0.9  # [2V,2V] = 4k, so gap ~ 3|k|
 
@@ -138,6 +143,87 @@ def test_rank_instability_reported():
     assert dec.diagnostics["rank_unstable"] is False
 
 
+def _two_pass_rank_unstable(k, tol=DEFAULT_RANK_TOL):
+    """The earlier rule: greedy pivot counts at ``rank_tol`` and ``10 * rank_tol`` differ.
+
+    A copy of the two greedy modified Gram-Schmidt passes it ran, on the
+    columns scaled by the power of two above the entry scale.
+    """
+    C = k.table.transpose(1, 0, 2, 3).reshape(k.m, -1).T
+    unit = 2.0 ** -np.frexp(k.entry_scale)[1]
+    rank_tol = tol * float(np.max(np.linalg.norm(C * unit, axis=0)))
+
+    def count(threshold):
+        R, n = unit * C, 0
+        while True:
+            norms = np.linalg.norm(R, axis=0)
+            x = int(np.argmax(norms))
+            if norms[x] <= threshold:
+                return n
+            q = R[:, x] / np.linalg.norm(R[:, x])
+            R -= np.outer(q, q.conj() @ R)
+            R[:, x] = 0.0
+            n += 1
+
+    return count(rank_tol) != count(10.0 * rank_tol)
+
+
+def _wide_gaussian(m, width, seed):
+    x = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, m))
+    table = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * width**2))
+    return scalar_kernel(table)
+
+
+def _noisy_low_rank(m, d, eps, seed):
+    """A rank-3 block-PSD kernel plus ``eps`` times a full-rank block-PSD one."""
+    base = random_block_psd_kernel(m, d, 3, seed)
+    noise = random_block_psd_kernel(m, d, m * d, seed + 100)
+    return Kernel(base.space, base.table + eps * noise.table)
+
+
+def test_one_pass_rank_unstable_matches_the_two_pass_rule(monkeypatch):
+    import wpsd.dilation as dilation
+
+    passes = []
+    pivoted_basis = dilation._pivoted_basis
+
+    def counted(*args):
+        passes.append(args)
+        return pivoted_basis(*args)
+
+    monkeypatch.setattr(dilation, "_pivoted_basis", counted)
+    kernels = [_wide_gaussian(m, w, seed) for m in (16, 24, 32) for w in (0.2, 0.4, 0.8) for seed in range(3)]
+    kernels += [
+        _noisy_low_rank(10, 1 + seed % 2, eps, seed) for eps in (1e-9, 1e-8, 1e-7, 1e-6) for seed in range(6)
+    ]
+    flags = []
+    for k in kernels:
+        passes.clear()
+        flag = build_kolmogorov(k).diagnostics["rank_unstable"]
+        assert len(passes) == 1
+        assert flag is _two_pass_rank_unstable(k)
+        flags.append(flag)
+    assert 10 <= sum(flags) <= len(flags) - 10  # both outcomes are exercised
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 8),
+    d=st.integers(1, 2),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pivot_order_changes_only_the_gauge(m, d, rank, seed, data):
+    k = random_block_psd_kernel(m, d, rank, seed)
+    order = data.draw(st.permutations(range(m)))
+    greedy, ordered = build_kolmogorov(k), build_kolmogorov(k, pivot_order=order)
+    assert greedy.n == ordered.n
+    unitary_equivalence(greedy, ordered)  # raises NoIsometryError beyond tolerance
+    for dec in (greedy, ordered):
+        np.testing.assert_array_equal(dec.gram.table, k.table[np.ix_(dec.pivots, dec.pivots)])
+
+
 def test_decomposition_of_entries_near_the_largest_float():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -146,12 +232,20 @@ def test_decomposition_of_entries_near_the_largest_float():
     np.testing.assert_array_equal(dec.V, np.eye(2))
 
 
+def test_decomposition_of_subnormal_entries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dec = build_kolmogorov(scalar_kernel([[5e-324, 0.0], [0.0, 5e-324]]))
+    assert dec.n == 2 and dec.residual == 0.0
+    np.testing.assert_array_equal(dec.V, np.eye(2))
+
+
 def test_pivots_do_not_depend_on_a_power_of_two_scale():
     k = random_block_psd_kernel(12, 2, 5, seed=4)
-    for exponent in (600, 1000):
+    for exponent in (600, 1000, -600, -1000):
         big = Kernel(k.space, 2.0**exponent * k.table)
         for order in (None, list(reversed(range(12)))):
-            assert build_kolmogorov(big, pivot_order=order).space.pivots == build_kolmogorov(k, pivot_order=order).space.pivots
+            assert build_kolmogorov(big, pivot_order=order).pivots == build_kolmogorov(k, pivot_order=order).pivots
 
 
 # ------------------------------------------------------------ representation
@@ -165,7 +259,7 @@ def test_cyclic_shift_representation():
     rep = build_representation(dec, k, S, A)
     P = rep.matrices[1]
     perm = np.zeros((3, 3))
-    piv = list(dec.space.pivots)
+    piv = list(dec.pivots)
     for i, p in enumerate(piv):
         perm[piv.index((p + 1) % 3), i] = 1.0
     np.testing.assert_allclose(P, perm, atol=1e-12)
@@ -260,7 +354,7 @@ def full_search_bound(k, S, A, alpha, restarts=16, max_iters=100, seed=0, tol=1e
     """Reference: ``bound_constant``'s search with every climb run, as ``(lower, upper, t, h)``."""
     act = A.table[alpha]
     k_a = Kernel(k.space, k.table[np.ix_(act, act)])
-    scale = entry_scale(k)
+    scale = k.entry_scale
     rel = max(tol, 1e-12)
     B = hermitian_part(block_matrix(k))
     B_a = hermitian_part(block_matrix(k_a))
@@ -488,7 +582,7 @@ def test_batched_mult_defect_equals_pair_loop():
     S = cyclic_group(g)
     mats = rng.standard_normal((g, n, n)) + 1j * rng.standard_normal((g, n, n))
     F = rng.standard_normal((n, 3, d)) + 1j * rng.standard_normal((n, 3, d))
-    gram = GramTensor(np.einsum("ira,jrb->ijab", np.conj(F), F))
+    gram = Kernel(hermitian_space(d), np.einsum("ira,jrb->ijab", np.conj(F), F))
     coords = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     act = rng.integers(0, m, size=(g, m))
 

@@ -22,7 +22,6 @@ from wpsd.kernels import (
     STATUS_NOT_POSITIVE,
     STATUS_POSITIVE,
     STATUS_UNDETERMINED,
-    entry_scale,
     pair_value,
     verify_witness,
 )
@@ -163,7 +162,7 @@ def test_weak_positivity_nonhermitian_witness():
         v = weak_positivity(k)
         assert v.status == STATUS_NOT_POSITIVE
         assert v.witness is not None and v.witness.value < 0
-        assert verify_witness(k, v.witness, 1e-9 * entry_scale(k) / 2)
+        assert verify_witness(k, v.witness, 1e-9 * k.entry_scale / 2)
 
 
 def test_witness_soundness_on_random_indefinite():
@@ -174,7 +173,7 @@ def test_witness_soundness_on_random_indefinite():
         v = weak_positivity(k)
         if v.status == STATUS_NOT_POSITIVE:
             found += 1
-            assert verify_witness(k, v.witness, 1e-9 * entry_scale(k) / 2)
+            assert verify_witness(k, v.witness, 1e-9 * k.entry_scale / 2)
     assert found > 0
 
 
@@ -192,7 +191,7 @@ def test_scalar_exactness_sample():
         k = random_hermitian_scalar(int(rng.integers(1, 7)), rng)
         lam = np.linalg.eigvalsh(k.table[:, :, 0, 0]).min()
         v = weak_positivity(k)
-        expected = STATUS_POSITIVE if lam >= -1e-9 * entry_scale(k) else STATUS_NOT_POSITIVE
+        expected = STATUS_POSITIVE if lam >= -1e-9 * k.entry_scale else STATUS_NOT_POSITIVE
         assert v.status == expected
 
 

@@ -158,7 +158,7 @@ def test_recover_operator_dilation_identity():
     dec = build_kolmogorov(lk.kernel)
     Vt, defect = recover_operator_dilation(dec, H, l)
     assert defect <= 1e-12
-    iso = Vt[0].conj().T @ dec.space.gram.blocks[:, :, 0, 0] @ Vt[0]  # scalar case
+    iso = Vt[0].conj().T @ dec.gram.table[:, :, 0, 0] @ Vt[0]  # scalar case
     np.testing.assert_allclose(iso, np.eye(2), atol=1e-10)
 
 
@@ -182,7 +182,7 @@ def test_recover_detects_corruption():
     dec = build_kolmogorov(lk.kernel)
     from wpsd.dilation import KolmogorovDecomposition
 
-    bad = KolmogorovDecomposition(dec.space, 3.0 * dec.V, dec.residual, dec.zspace)
+    bad = KolmogorovDecomposition(dec.gram, dec.pivots, 3.0 * dec.V, dec.residual)
     _, defect = recover_operator_dilation(bad, H, l)
     assert defect >= 1.0
 

@@ -3,7 +3,6 @@ import pytest
 
 from wpsd import (
     Action,
-    GramTensor,
     IllDefinedError,
     InjectivityFailureError,
     build_kolmogorov,
@@ -16,7 +15,9 @@ from wpsd import (
     rk_representation,
     verify_reproducing,
 )
-from wpsd.dilation import KolmogorovDecomposition, VESpaceRealized
+from wpsd.dilation import KolmogorovDecomposition
+from wpsd.kernels import Kernel
+from wpsd.zspace import scalar_space
 from wpsd.repkernel import RKSpace
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
@@ -27,7 +28,7 @@ def test_all_ones_kernel_space():
     rk = build_rk(build_kolmogorov(k))
     assert rk.n == 1
     np.testing.assert_allclose(rk.functions[0, :, 0, 0], [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(rk.gram.blocks[0, 0], [[1.0]], atol=1e-12)
+    np.testing.assert_allclose(rk.source.gram.table[0, 0], [[1.0]], atol=1e-12)
 
 
 def test_swap_kernel_functions():
@@ -35,7 +36,7 @@ def test_swap_kernel_functions():
     dec = build_kolmogorov(k)
     rk = build_rk(dec)
     # the function attached to pivot y sends x to the matrix unit E_{yx}
-    for i, y in enumerate(dec.space.pivots):
+    for i, y in enumerate(dec.pivots):
         for x in range(2):
             expected = np.zeros((2, 2))
             expected[y, x] = 1.0
@@ -49,7 +50,7 @@ def test_identity_kernel_delta_functions():
     rk = build_rk(build_kolmogorov(k))
     flat = rk.functions[:, :, 0, 0]
     np.testing.assert_allclose(np.sort(np.abs(flat), axis=None), np.sort(np.eye(3), axis=None), atol=1e-12)
-    np.testing.assert_allclose(rk.gram.blocks[:, :, 0, 0], np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(rk.source.gram.table[:, :, 0, 0], np.eye(3), atol=1e-12)
 
 
 def test_reproducing_round_trip_random():
@@ -65,7 +66,7 @@ def test_corrupted_function_detected():
     rk = build_rk(build_kolmogorov(k))
     bad_functions = np.array(rk.functions)
     bad_functions[0, 0] += 1.0
-    bad = RKSpace(bad_functions, rk.gram, rk.point_coords, rk.zspace, rk.source)
+    bad = RKSpace(bad_functions, rk.source)
     assert verify_reproducing(bad, k) >= 0.5
 
 
@@ -79,8 +80,7 @@ def test_empty_space_on_zero_kernel():
 def test_injectivity_failure_on_non_minimal_source():
     # rank-one gram with two basis slots realises two identical functions
     blocks = np.ones((2, 2, 1, 1), dtype=complex)
-    space = VESpaceRealized(GramTensor(blocks), (0, 1))
-    dec = KolmogorovDecomposition(space, np.eye(2, dtype=complex), 0.0)
+    dec = KolmogorovDecomposition(Kernel(scalar_space(), blocks), (0, 1), np.eye(2, dtype=complex), 0.0)
     with pytest.raises(InjectivityFailureError):
         build_rk(dec)
 
@@ -93,7 +93,7 @@ def test_rk_representation_translation():
     rk = build_rk(dec)
     rho = rk_representation(rk, S, A)
     # rho(1) permutes the three point evaluations cyclically
-    coords = rk.point_coords
+    coords = rk.source.V
     np.testing.assert_allclose(rho.matrices[1] @ coords.T, coords[A.table[1]].T, atol=1e-10)
     assert max(rho.mult_defect, rho.star_defect, rho.intertwine_defect) <= 1e-10
     assert rho.diagnostics["conjugation_defect"] <= 1e-10
@@ -129,6 +129,6 @@ def test_rk_representation_rejects_corrupted_functions():
     assert rk_representation(rk, S, A).diagnostics["conjugation_defect"] <= 1e-10
     bad_functions = np.array(rk.functions)
     bad_functions[0, 1] += 0.5
-    bad = RKSpace(bad_functions, rk.gram, rk.point_coords, rk.zspace, rk.source)
+    bad = RKSpace(bad_functions, rk.source)
     with pytest.raises(IllDefinedError):
         rk_representation(bad, S, A)

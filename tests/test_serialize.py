@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpsd import (
-    GramTensor,
     Kernel,
     KolmogorovDecomposition,
     SemigroupMapT,
     StarRepresentation,
-    VESpaceRealized,
     hermitian_space,
 )
 from wpsd import serialize as sz
@@ -54,7 +52,7 @@ def test_vectorised_encoding_matches_per_entry():
     assert same(sz.kernel_to_json(Kernel(hermitian_space(2), table))["table"], table)
 
     gram, V = signed_array((2, 2, 2, 2), rng), signed_array((3, 2), rng)
-    dec = sz.decomposition_to_json(KolmogorovDecomposition(VESpaceRealized(GramTensor(gram), (0, 1)), V))
+    dec = sz.decomposition_to_json(KolmogorovDecomposition(Kernel(hermitian_space(2), gram), (0, 1), V))
     assert same(dec["gram"], gram) and same(dec["V"], V)
 
     mats = signed_array((4, 3, 3), rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wpsd import (
-    GramTensor,
+    Kernel,
     SchemaError,
     gram_pair,
     hermitian_space,
@@ -23,7 +23,7 @@ HERM2 = hermitian_space(2)
 
 def random_gram(n, d, rank, seed):
     """Gram-built metric, hence a weakly positive one."""
-    return GramTensor(random_block_psd_kernel(n, d, rank, seed).table)
+    return random_block_psd_kernel(n, d, rank, seed)
 
 
 def test_involution_examples():
@@ -81,7 +81,7 @@ def test_cone_strictness():
 
 
 def test_gram_pair_identity_and_zero():
-    G = GramTensor(np.eye(2)[None, None] * np.eye(3)[:, :, None, None])
+    G = Kernel(HERM2, np.eye(2)[None, None] * np.eye(3)[:, :, None, None])
     e1 = np.array([1.0, 0.0, 0.0])
     np.testing.assert_allclose(gram_pair(G, e1, e1), np.eye(2))
     np.testing.assert_allclose(gram_pair(G, np.zeros(3), e1), np.zeros((2, 2)))
@@ -116,7 +116,7 @@ def test_polarisation_trivial_cases():
     u = np.array([1.0, 2.0, -1.0])
     assert polarisation_check(G, u, u) < 1e-12
     # orthogonal pair on an identity-block metric
-    G2 = GramTensor(np.eye(2)[None, None] * np.eye(2)[:, :, None, None])
+    G2 = Kernel(HERM2, np.eye(2)[None, None] * np.eye(2)[:, :, None, None])
     assert polarisation_check(G2, [1.0, 0.0], [0.0, 1.0]) < 1e-14
 
 
@@ -158,7 +158,7 @@ def test_null_direction_forces_small_pairings():
     # a metric with an exact null direction: the pairing against anything
     # stays at the level the Schwarz bound predicts
     F = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # rows: factors per index
-    G = GramTensor((F.conj() @ F.T).reshape(3, 3, 1, 1))
+    G = Kernel(scalar_space(), (F.conj() @ F.T).reshape(3, 3, 1, 1))
     u = np.array([1.0, -1.0, 0.0])  # null: factors cancel
     assert ve_seminorm(G, u) ** 2 <= 1e-12
     rng = np.random.default_rng(5)
@@ -168,7 +168,7 @@ def test_null_direction_forces_small_pairings():
 
 
 def test_ve_seminorm():
-    G = GramTensor(np.eye(2)[None, None] * np.eye(2)[:, :, None, None])
+    G = Kernel(HERM2, np.eye(2)[None, None] * np.eye(2)[:, :, None, None])
     assert ve_seminorm(G, [0.0, 0.0]) == 0.0
     assert ve_seminorm(G, [1.0, 0.0]) == pytest.approx(1.0)
     u = np.array([0.3 - 1j, 2.0])
@@ -178,14 +178,14 @@ def test_ve_seminorm():
 
 def test_validate_gram():
     G = random_gram(3, 2, 4, 11)
-    assert validate_gram(G, HERM2) == []
-    bad = np.array(G.blocks)
+    assert validate_gram(G) == []
+    bad = np.array(G.table)
     bad[0, 0] = -np.eye(2)
-    msgs = validate_gram(GramTensor(bad), HERM2)
+    msgs = validate_gram(Kernel(HERM2, bad))
     assert any("diagonal" in v for v in msgs)
-    bad2 = np.array(G.blocks)
+    bad2 = np.array(G.table)
     bad2[0, 1] += 1.0
-    assert any("symmetry" in v for v in validate_gram(GramTensor(bad2), HERM2))
+    assert any("symmetry" in v for v in validate_gram(Kernel(HERM2, bad2)))
 
 
 @pytest.mark.parametrize("n, d, p, q", [(4, 2, 3, 5), (5, 1, 1, 1), (3, 3, 0, 2), (0, 2, 3, 1), (0, 1, 0, 0)])
