@@ -19,9 +19,16 @@ from functools import cached_property
 
 from . import serialize as sz
 from .algebra import validate_action, validate_semigroup
-from .dilation import bound_constant, build_kolmogorov, build_representation, verify_linearisation
+from .dilation import (
+    DEFAULT_RANK_TOL,
+    bound_constant,
+    build_kolmogorov,
+    build_representation,
+    verify_linearisation,
+)
 from .errors import SchemaError, WpsdError
 from .kernels import (
+    DEFAULT_STRUCTURAL_TOL,
     STATUS_NOT_POSITIVE,
     STATUS_POSITIVE,
     hermitian_defect_kernel,
@@ -44,7 +51,7 @@ COMMANDS = (
     "all",
 )
 
-DEFAULT_TOLERANCES = {"structural": 1e-9, "rank": 1e-8, "report": 1e-8}
+DEFAULT_TOLERANCES = {"structural": DEFAULT_STRUCTURAL_TOL, "rank": DEFAULT_RANK_TOL, "report": 1e-8}
 
 
 @dataclass
@@ -144,9 +151,9 @@ class Artifacts:
     each payload once.  They are dropped with the object when the run ends.
     """
 
-    def __init__(self, p: Problem, rank_tol: float):
+    def __init__(self, p: Problem, tolerances: dict):
         self.p = p
-        self.rank_tol = rank_tol
+        self.tols = tolerances
 
     @cached_property
     def lifted(self):
@@ -164,12 +171,14 @@ class Artifacts:
 
     @cached_property
     def decomposition(self):
-        return build_kolmogorov(self.lifted[0], self.rank_tol)
+        return build_kolmogorov(self.lifted[0], self.tols["rank"], structural=self.tols["structural"])
 
     @cached_property
     def representation(self):
         kernel, action, _ = self.lifted
-        return build_representation(self.decomposition, kernel, self.p.semigroup, action, self.rank_tol)
+        return build_representation(
+            self.decomposition, kernel, self.p.semigroup, action, self.tols["rank"], self.tols["structural"]
+        )
 
     @cached_property
     def decomposition_json(self) -> dict:
@@ -302,7 +311,7 @@ _SEVERITY = {0: 0, 2: 1, 1: 2}
 def run_tasks(p: Problem, tasks, opts, with_timings: bool) -> tuple[dict, int]:
     report: dict = {"tasks": {}}
     worst = 0
-    art = Artifacts(p, opts["tolerances"]["rank"])
+    art = Artifacts(p, opts["tolerances"])
     for name in tasks:
         started = time.perf_counter()
         payload, code = TASK_RUNNERS[name](p, opts, art)

@@ -33,6 +33,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .kernels import (
+    DEFAULT_STRUCTURAL_TOL,
     Kernel,
     block_matrix,
     direction_form,
@@ -83,10 +84,14 @@ class KolmogorovDecomposition:
 class StarRepresentation:
     """Per-element matrices on the decomposition space plus law defects.
 
-    ``mult_defect`` bounds ``pi(ab) - pi(a) pi(b)`` in spectral norm,
-    ``star_defect`` the entrywise gap in ``[pi(s) f, g] = [f, pi(s*) g]`` over
-    basis pairs, and ``intertwine_defect`` the coordinate gap in
-    ``pi(s) V(x) = V(s.x)``.
+    ``mult_defect`` bounds ``pi(ab) - pi(a) pi(b)`` in spectral norm over all
+    pairs by ``max_a sqrt(mu) ||inter_a||_2 + law_a``, which rests on the
+    push-forward ``pi(s)[:, i] = V(s.p_i)``: ``inter_a`` is the intertwining
+    gap of ``a`` at every point, ``mu`` the most pivots one element sends to
+    one point (1 for a group action), and ``law_a`` is 0 unless the action
+    law ``ab.p = a.(b.p)`` fails on the pivots.  ``star_defect`` is the
+    entrywise gap in ``[pi(s) f, g] = [f, pi(s*) g]`` over basis pairs, and
+    ``intertwine_defect`` the coordinate gap in ``pi(s) V(x) = V(s.x)``.
     """
 
     matrices: np.ndarray = field()  # (g, n, n)
@@ -117,12 +122,6 @@ class BoundEstimate:
     witness_t: np.ndarray | None = None
     witness_h: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _columns(k: Kernel) -> np.ndarray:
-    """Column matrix ``C[:, x] = flattened k(., x)`` of shape (m*d*d, m)."""
-    m, d = k.m, k.d
-    return k.table.transpose(1, 0, 2, 3).reshape(m, m * d * d).T.copy()
 
 
 def _pivoted_basis(C: np.ndarray, unit: float, rank_tol: float, pivot_order=None):
@@ -168,6 +167,7 @@ def build_kolmogorov(
     k: Kernel,
     tol: float = DEFAULT_RANK_TOL,
     pivot_order=None,
+    structural: float = DEFAULT_STRUCTURAL_TOL,
 ) -> KolmogorovDecomposition:
     """Minimal linearisation of a Hermitian kernel.
 
@@ -179,19 +179,19 @@ def build_kolmogorov(
     negative.  Functions with vanishing self-form are the zero function in
     this realisation, so no quotient is needed.
 
-    Raises ``NotHermitianError`` or ``WeakPositivityError``.  An unstable
-    numerical rank is reported in ``diagnostics['rank_unstable']``, not
-    fatal: some pivot was taken with a residual norm within a decade of the
-    cut.  In greedy mode that is exactly when the pivot count at ten times
+    Raises ``NotHermitianError`` (Hermitian defect above ``structural`` times
+    the entry scale) or ``WeakPositivityError``.  An unstable numerical rank
+    is reported in ``diagnostics['rank_unstable']``, not fatal: some pivot
+    was taken with a residual norm within a decade of the cut.  In greedy mode that is exactly when the pivot count at ten times
     the tolerance differs; with a ``pivot_order`` it only says that some
     pivot lies within a decade of the cut.
     """
     scale = k.entry_scale
     defect = hermitian_defect_kernel(k)
-    if defect > tol * scale:
+    if defect > structural * scale:
         raise NotHermitianError(f"kernel Hermitian defect {defect:.3e}")
     m, d = k.m, k.d
-    C = _columns(k)
+    C = k.table.transpose(1, 0, 2, 3).reshape(m, m * d * d).T.copy()  # C[:, x] = k(., x)
     # Pivots are chosen on the columns scaled by the power of two just above
     # their largest entry: the scaling is exact, and the column norms neither
     # overflow nor underflow.  The exponent is capped so that ``unit`` stays
@@ -256,31 +256,36 @@ def verify_linearisation(dec: KolmogorovDecomposition, k: Kernel) -> float:
     return float(np.max(np.abs(linearised_kernel(dec).table - k.table))) if k.m else 0.0
 
 
-def _representation_defects(matrices, gram: Kernel, coords, act_table, S: StarSemigroup):
-    """Multiplication, star and intertwining defects of a matrix family.
+def _representation_defects(dec: KolmogorovDecomposition, act_table, S: StarSemigroup):
+    """The push-forward matrices ``pi(s)[:, i] = V(s.p_i)`` and their law defects.
 
-    ``mult`` is the exact spectral norm of ``pi(ab) - pi(a) pi(b)``,
-    maximised over all pairs one row ``a`` at a time, so that no more than
-    ``g x n x n`` entries are held; ``star`` is the entrywise gap in
-    ``[pi(a) e_i, e_j] = [e_i, pi(a*) e_j]``; ``inter`` the coordinate gap in
-    ``pi(a) V(x) = V(a.x)``.
+    ``star`` and ``inter`` are exact.  ``mult`` is the bound that
+    ``StarRepresentation`` states, found without a product: by construction,
+    column ``i`` of ``pi(ab) - pi(a) pi(b)`` is
+    ``V(ab.p_i) - V(a.(b.p_i)) - inter_a[:, b.p_i]``, and those columns of
+    ``inter_a = pi(a) V^T - V[a.]^T`` repeat a point at most ``mu`` times.
     """
-    g, n = matrices.shape[0], matrices.shape[1]
+    coords, images = dec.V, act_table[:, list(dec.pivots)]  # images[s, i] = s.p_i
+    mats = np.ascontiguousarray(coords[images].transpose(0, 2, 1))
+    g, n = images.shape
     if n == 0:
-        return 0.0, 0.0, 0.0
-    d = gram.d
-    rows = gram.table.reshape(n, n * d * d)  # [a, (j, c, e)]
-    cols = gram.table.transpose(0, 2, 3, 1).reshape(n * d * d, n)  # [(i, c, e), b]
+        return mats, 0.0, 0.0, 0.0
+    m, d = coords.shape[0], dec.gram.d
+    mu = int(np.bincount((np.arange(g)[:, None] * m + images).ravel()).max())
+    rows = dec.gram.table.reshape(n, n * d * d)  # [a, (j, c, e)]
+    cols = dec.gram.table.transpose(0, 2, 3, 1).reshape(n * d * d, n)  # [(i, c, e), b]
     mult = star = inter = 0.0
     for a in range(g):
-        gaps = matrices[S.mult[a]] - matrices[a] @ matrices
-        mult = max(mult, float(np.max(np.linalg.norm(gaps, 2, axis=(1, 2)))))
-        lhs = (np.conj(matrices[a]).T @ rows).reshape(n, n, d, d)
-        rhs = (cols @ matrices[S.inv[a]]).reshape(n, d, d, n).transpose(0, 3, 1, 2)
+        lhs = (np.conj(mats[a]).T @ rows).reshape(n, n, d, d)
+        rhs = (cols @ mats[S.inv[a]]).reshape(n, d, d, n).transpose(0, 3, 1, 2)
         star = max(star, float(np.max(np.abs(lhs - rhs))))
-        inter_a = matrices[a] @ coords.T - coords[act_table[a]].T
+        inter_a = mats[a] @ coords.T - coords[act_table[a]].T
         inter = max(inter, float(np.max(np.abs(inter_a))))
-    return mult, star, inter
+        direct, composed = images[S.mult[a]], act_table[a][images]  # [b, i] = ab.p_i, a.(b.p_i)
+        broken = np.flatnonzero(np.any(direct != composed, axis=1))
+        law = np.linalg.norm(coords[direct[broken]] - coords[composed[broken]], axis=(1, 2)).max(initial=0.0)
+        mult = max(mult, np.sqrt(mu) * float(np.linalg.norm(inter_a, 2)) + float(law))
+    return mats, mult, star, inter
 
 
 def build_representation(
@@ -288,43 +293,36 @@ def build_representation(
     k: Kernel,
     S: StarSemigroup,
     A: Action,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_RANK_TOL,
+    structural: float = DEFAULT_STRUCTURAL_TOL,
 ) -> StarRepresentation:
     """Representation of the *-semigroup on the decomposition space.
 
     Each element's matrix is fixed by pushing the basis columns along the
     action: basis vector ``i`` (the column of pivot ``p_i``) is sent to the
-    coordinates of the column at ``s . p_i``.  All three law defects are
-    computed exhaustively over the semigroup; a coefficient push-forward
-    cross-check guards against an ill-defined action on representatives.
+    coordinates of the column at ``s . p_i``.  Kernel invariance is held to
+    ``structural`` times the entry scale.  The law defects cover the whole
+    semigroup; a coefficient push-forward cross-check guards against an
+    ill-defined action on representatives.
     """
-    violations = is_invariant(k, S, A)
+    violations = is_invariant(k, S, A, structural * k.entry_scale)
     if violations:
         raise NotInvariantError(
             f"kernel is not invariant; first violation (s, x, y, defect) = {violations[0]}",
             violations,
         )
-    g = S.size
-    pivots = list(dec.pivots)
-    mats = np.ascontiguousarray(dec.V[A.table[:, pivots]].transpose(0, 2, 1))
-    mult, star, inter = _representation_defects(mats, dec.gram, dec.V, A.table, S)
+    mats, mult, star, inter = _representation_defects(dec, A.table, S)
 
-    # Push-forward cross-check: transporting a coefficient vector along the
-    # action must agree with the matrix acting on its coordinates.
-    scale = k.entry_scale
-    push = 0.0
+    # Push-forward cross-check, all elements at once: a coefficient vector
+    # pushed along the action, less the pivot coefficients that the matrix
+    # gives its coordinates, must realise the zero function.
     rng = np.random.default_rng(7)
     coeff = rng.standard_normal(k.m) + 1j * rng.standard_normal(k.m)
-    cols = _columns(k)
-    basis_cols = cols[:, pivots]
-    coords = dec.V.T @ coeff
-    for s in range(g):
-        g_s = np.zeros(k.m, dtype=complex)
-        np.add.at(g_s, A.table[s], coeff)
-        direct = cols @ g_s
-        via_matrix = basis_cols @ (mats[s] @ coords)
-        push = max(push, float(np.max(np.abs(direct - via_matrix))))
-    if push > max(tol * scale * (1.0 + np.linalg.norm(coeff)), 10 * dec.residual * (1.0 + np.linalg.norm(coeff, 1))):
+    moved = np.zeros((S.size, k.m), dtype=complex)
+    np.add.at(moved, (np.arange(S.size)[:, None], A.table), coeff)
+    moved[:, list(dec.pivots)] -= mats @ (dec.V.T @ coeff)
+    push = float(np.max(np.abs(moved @ k.table.reshape(k.m, k.m, k.d**2)), initial=0.0))
+    if push > max(tol * k.entry_scale * (1.0 + np.linalg.norm(coeff)), 10 * dec.residual * (1.0 + np.linalg.norm(coeff, 1))):
         raise IllDefinedError(
             f"coefficient push-forward disagrees with the matrix action by {push:.3e}"
         )

@@ -34,6 +34,10 @@ from .zspace import (
     seminorm,
 )
 
+# Structural checks (symmetry, invariance, cone membership) hold a defect
+# to this multiple of a kernel's entry scale unless told otherwise.
+DEFAULT_STRUCTURAL_TOL = 1e-9
+
 STATUS_POSITIVE = "certified_positive"
 STATUS_NOT_POSITIVE = "certified_not_positive"
 STATUS_UNDETERMINED = "undetermined"
@@ -121,7 +125,7 @@ def hermitian_defect_kernel(k: Kernel) -> float:
 
 def is_hermitian(k: Kernel, tol: float | None = None) -> bool:
     if tol is None:
-        tol = 1e-9 * k.entry_scale
+        tol = DEFAULT_STRUCTURAL_TOL * k.entry_scale
     return hermitian_defect_kernel(k) <= tol
 
 
@@ -132,7 +136,7 @@ def is_invariant(k: Kernel, S, A, tol: float | None = None) -> list[tuple]:
             f"action table shape {A.table.shape} does not match ({S.size}, {k.m})"
         )
     if tol is None:
-        tol = 1e-9 * k.entry_scale
+        tol = DEFAULT_STRUCTURAL_TOL * k.entry_scale
     out = []
     for s in range(S.size):
         lhs = k.table[:, A.table[s]]  # lhs[y, x] = k(y, s.x)
@@ -169,7 +173,7 @@ def block_matrix(k: Kernel) -> np.ndarray:
     return k.table.transpose(0, 2, 1, 3).reshape(m * d, m * d)
 
 
-def strong_positivity(k: Kernel, tol: float = 1e-9):
+def strong_positivity(k: Kernel, tol: float = DEFAULT_STRUCTURAL_TOL):
     """Minimal eigenvalue of the block matrix and the PSD verdict.
 
     Assumes a Hermitian kernel (the block matrix is then Hermitian); this is
@@ -242,7 +246,7 @@ def weak_positivity(
     restarts: int = 64,
     max_iters: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_STRUCTURAL_TOL,
 ) -> PositivityVerdict:
     """Three-valued weak (block) positivity verdict.
 
@@ -337,7 +341,7 @@ def twopos_diagnostics(k: Kernel, tol: float | None = None):
     weakly 2-positive.
     """
     if tol is None:
-        tol = 1e-9 * k.entry_scale
+        tol = DEFAULT_STRUCTURAL_TOL * k.entry_scale
     norms = np.linalg.norm(k.table, ord=2, axis=(2, 3)) if k.m else np.zeros((0, 0))
     X0 = [x for x in range(k.m) if norms[x, x] <= tol]
     X1 = [x for x in range(k.m) if norms[x, x] > tol]

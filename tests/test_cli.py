@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import tempfile
 
@@ -8,9 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wpsd import cyclic_group, gns_instance, left_regular_star_rep, gram_semigroup_map
+from wpsd import (
+    Action,
+    Kernel,
+    SemigroupMapT,
+    StarSemigroup,
+    cyclic_group,
+    gns_instance,
+    gram_semigroup_map,
+    hermitian_space,
+    left_regular_star_rep,
+    scalar_space,
+)
 from wpsd import serialize as sz
-from wpsd.cli import main
+from wpsd.cli import COMMANDS, main, parse_problem
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -392,6 +404,127 @@ def test_hermitian_check_follows_the_structural_tolerance(tmp_path, capsys):
     assert main(["validate", write_problem(tmp_path, "q.json", prob), "--no-timestamp"]) == 0
     report = json.loads(capsys.readouterr().out)["tasks"]["validate"]
     assert report["violations"] == [] and report["hermitian_defect"] == pytest.approx(1e-6)
+
+
+def test_decompose_holds_the_hermitian_defect_to_the_structural_tolerance(tmp_path, capsys):
+    # The defect 1.5e-8 is above the structural tolerance and below the rank
+    # tolerance: decompose must refuse the kernel, as validate does.
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "kernel": sz.kernel_to_json(scalar_kernel([[2.0, 1.0 + 1.5e-8], [1.0, 2.0]])),
+        "tasks": ["validate"],
+    }
+    path = write_problem(tmp_path, "p.json", prob)
+    assert main(["validate", path, "--no-timestamp"]) == 1
+    out = tmp_path / "report.json"
+    assert main(["decompose", path, "--out", str(out)]) == 3
+    assert "Hermitian" in capsys.readouterr().err and not out.exists()
+    prob["options"] = {"tolerances": {"structural": 1e-5}}
+    assert main(["decompose", write_problem(tmp_path, "q.json", prob), "--no-timestamp"]) == 0
+
+
+def test_represent_holds_invariance_to_the_structural_tolerance(tmp_path, capsys):
+    # Entries (0, 1) and (1, 0) move by 1e-7: within a structural tolerance of
+    # 1e-5, so validate passes and represent builds the representation; the
+    # star law then shows the move against the report tolerance.
+    S = cyclic_group(4)
+    inst = gns_instance(S, np.fft.ifft([1.0, 0.6, 0.3, 0.8]))
+    table = np.array(inst.kernel.table)
+    table[0, 1] += 1e-7
+    table[1, 0] = np.conj(table[0, 1])
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "kernel": {"table": sz.carray_to_json(table)},
+        "semigroup": sz.semigroup_to_json(S),
+        "action": sz.action_to_json(inst.action),
+        "tasks": ["validate", "represent"],
+        "options": {"tolerances": {"structural": 1e-5}},
+    }
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp"]) == 1
+    tasks = json.loads(capsys.readouterr().out)["tasks"]
+    assert tasks["validate"]["exit"] == 0 and tasks["represent"]["exit"] == 1
+    assert tasks["represent"]["representation"]["star_defect"] == pytest.approx(1e-7, rel=1e-3)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def complex_array(draw, shape):
+    """A complex array of ``shape`` with arbitrary finite parts, -0.0 and subnormals included."""
+    parts = draw(st.lists(FINITE, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape)))
+    return np.array(parts, dtype=float).view(complex).reshape(shape)
+
+
+def index_table(draw, shape, bound):
+    entries = draw(st.lists(st.integers(0, bound - 1), min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(entries, dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def whole_problems(draw):
+    """``(json object, expected parts)`` for one problem of each input kind."""
+    kind = draw(st.sampled_from(["kernel", "operator_kernel", "semigroup_map"]))
+    d = draw(st.integers(1, 2))
+    space = scalar_space() if d == 1 else hermitian_space(d)
+    g, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    obj = {"space": sz.space_to_json(space), "tasks": draw(st.lists(st.sampled_from(COMMANDS[:-1]), max_size=3))}
+    want = {"space": space, "tasks": obj["tasks"], "options": {}}
+    if kind == "kernel":
+        k = Kernel(space, complex_array(draw, (m, m, d, d)))
+        obj["kernel"], want["kernel"] = sz.kernel_to_json(k), k.table
+    elif kind == "operator_kernel":
+        module = draw(st.sampled_from([{"kind": "hilbert", "r": 1}, {"kind": "hilbert", "r": 2},
+                                       {"kind": "matrix_module", "d": 1, "kcols": 2}]))
+        dim = module.get("r", module.get("d", 0) * module.get("kcols", 0))
+        table = complex_array(draw, (m, m, dim, dim))
+        obj["operator_kernel"], want["operator_table"] = {"module": module, "table": sz.carray_to_json(table)}, table
+    else:
+        T = SemigroupMapT(space, complex_array(draw, (g, *(2 * [draw(st.integers(1, 2))]), d, d)))
+        obj["semigroup_map"], want["tensors"] = sz.semigroup_map_to_json(T), T.tensors
+        m = g
+    if draw(st.booleans()):
+        unit = draw(st.one_of(st.none(), st.integers(0, g - 1)))
+        S = StarSemigroup(index_table(draw, (g, g), g), index_table(draw, (g,), g), unit)
+        obj["semigroup"], want["semigroup"] = sz.semigroup_to_json(S), S
+    if draw(st.booleans()):
+        A = Action(index_table(draw, (g, m), m), draw(st.booleans()))
+        obj["action"], want["action"] = sz.action_to_json(A), A
+    if draw(st.booleans()):
+        want["options"] = obj["options"] = {
+            "seed": draw(st.integers(0, 2**40)),
+            "restarts": draw(st.integers(0, 100)),
+            "tolerances": {"structural": draw(st.floats(1e-300, 1.0)), "report": draw(st.floats(1e-300, 1.0))},
+            "elements": draw(st.lists(st.integers(0, g - 1), max_size=3)),
+        }
+    return obj, want
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=whole_problems())
+def test_whole_problems_survive_the_json_round_trip(case):
+    obj, want = case
+    p = parse_problem(json.loads(json.dumps(obj)))
+    assert p.space == want["space"] and p.tasks == want["tasks"] and p.options == want["options"]
+    if "kernel" in want:
+        assert same_bits(p.kernel.table, want["kernel"])
+    if "operator_table" in want:
+        assert same_bits(p.operator_table, want["operator_table"])
+    if "tensors" in want:
+        assert same_bits(p.semigroup_map.tensors, want["tensors"])
+    if "semigroup" in want:
+        S = want["semigroup"]
+        assert np.array_equal(p.semigroup.mult, S.mult) and np.array_equal(p.semigroup.inv, S.inv)
+        assert p.semigroup.unit == S.unit
+    else:
+        assert p.semigroup is None
+    if "action" in want:
+        assert np.array_equal(p.action.table, want["action"].table) and p.action.unital == want["action"].unital
+    else:
+        assert p.action is None
 
 
 def _fuzz_bases() -> list:

@@ -575,25 +575,110 @@ def test_dimension_matches_fourier_support(n):
 # ------------------------------------------------------------ law defects
 
 
-def test_batched_mult_defect_equals_pair_loop():
-    # A random family that is not a representation, so every gap is non-zero.
-    rng = np.random.default_rng(11)
-    g, n, m, d = 7, 5, 9, 2
-    S = cyclic_group(g)
-    mats = rng.standard_normal((g, n, n)) + 1j * rng.standard_normal((g, n, n))
-    F = rng.standard_normal((n, 3, d)) + 1j * rng.standard_normal((n, 3, d))
-    gram = Kernel(hermitian_space(d), np.einsum("ira,jrb->ijab", np.conj(F), F))
-    coords = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    act = rng.integers(0, m, size=(g, m))
+def transformation_semigroup(generators):
+    """The maps that ``generators`` generate under composition, with their action.
 
-    mult, _, _ = _representation_defects(mats, gram, coords, act, S)
-    loop = max(
+    ``mult[a, b]`` is ``a`` after ``b``, so the action law holds; maps that
+    are not injective make the action non-injective.  When two generators
+    give more than 40 maps, only the first is used.  The involution is the
+    identity, which the multiplication defect never reads.
+    """
+    gens = [tuple(int(x) for x in f) for f in generators]
+    elements = list(dict.fromkeys(gens))
+    for e in elements:  # the list grows while it is read: every word is reached
+        for f in gens:
+            h = tuple(e[x] for x in f)
+            if h not in elements:
+                elements.append(h)
+        if len(elements) > 40:
+            return transformation_semigroup(generators[:1])
+    index = {e: i for i, e in enumerate(elements)}
+    mult = [[index[tuple(a[x] for x in b)] for b in elements] for a in elements]
+    return StarSemigroup(np.array(mult), np.arange(len(elements))), np.array(elements)
+
+
+def exact_mult_defect(mats, S):
+    return max(
         float(np.linalg.norm(mats[S.mult[a, b]] - mats[a] @ mats[b], 2))
-        for a in range(g)
-        for b in range(g)
+        for a in range(S.size)
+        for b in range(S.size)
     )
-    assert mult > 1.0
-    assert mult == loop
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["group", "semigroup", "broken"]),
+    m=st.integers(1, 7),
+    d=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mult_defect_bounds_the_pair_loop(kind, m, d, seed):
+    # Random coordinates are no linearisation, so the gaps are of order one.
+    rng = np.random.default_rng(seed)
+    if kind == "group":  # translations of a cyclic group on itself
+        S = cyclic_group(m)
+        act = np.array(S.mult)
+    elif kind == "semigroup":  # lawful, and mostly not injective
+        S, act = transformation_semigroup(rng.integers(0, m, size=(int(rng.integers(1, 3)), m)))
+    else:  # random tables: the action law mostly fails
+        S = cyclic_group(int(rng.integers(1, 6)))
+        act = rng.integers(0, m, size=(S.size, m))
+    n = int(rng.integers(1, m + 1))
+    pivots = rng.permutation(m)[:n]
+    V = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    F = rng.standard_normal((n, 2, d)) + 1j * rng.standard_normal((n, 2, d))
+    gram = Kernel(hermitian_space(d), np.einsum("ira,jrb->ijab", np.conj(F), F))
+
+    mats, mult, _, _ = _representation_defects(KolmogorovDecomposition(gram, pivots, V), act, S)
+    assert np.array_equal(mats, V[act[:, pivots]].transpose(0, 2, 1))
+    assert mult >= exact_mult_defect(mats, S) * (1 - 1e-12)
+
+
+def lifted_cyclic_instance():
+    S = cyclic_group(5)
+    B = np.random.default_rng(3).standard_normal((2, 5, 2)) + 0j
+    lk = lift_semigroup_map(gram_semigroup_map(S, left_regular_star_rep(S), B), S)
+    return S, lk.action, lk.kernel
+
+
+@pytest.mark.parametrize("instance", [lifted_cyclic_instance, matrix_semigroup_instance])
+def test_pushforward_defect_matches_the_per_element_loop(instance):
+    # Perturbed coordinates make the push-forward gap of order one; the large
+    # stated residual keeps it under the IllDefinedError threshold.  The
+    # reference is the per-element loop, one scatter and one product each.
+    S, A, k = instance()
+    dec = build_kolmogorov(k)
+    V = dec.V + np.random.default_rng(5).standard_normal(dec.V.shape)
+    rep = build_representation(KolmogorovDecomposition(dec.gram, dec.pivots, V, 1e3), k, S, A)
+    m = k.m
+    rng = np.random.default_rng(7)
+    coeff = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    cols = k.table.transpose(1, 0, 2, 3).reshape(m, -1).T
+    ref = 0.0
+    for s in range(S.size):
+        pushed = np.zeros(m, dtype=complex)
+        np.add.at(pushed, A.table[s], coeff)
+        via_matrix = cols[:, list(dec.pivots)] @ (rep.matrices[s] @ (V.T @ coeff))
+        ref = max(ref, float(np.max(np.abs(cols @ pushed - via_matrix))))
+    assert ref > 1e-2
+    assert rep.diagnostics["pushforward_defect"] == pytest.approx(ref, rel=1e-12)
+
+
+def test_mult_defect_needs_the_multiplicity_factor():
+    # The one element sends both pivots to point 0, and the action law holds
+    # there.  So pi(0) - pi(0)^2 is minus column 0 of the intertwining gap,
+    # twice: its norm is sqrt(2) times that column's, while the whole gap
+    # has norm 2.  Without sqrt(mu) = sqrt(2) the bound would read 2.
+    S = cyclic_group(1)
+    act = np.array([[0, 0]])
+    V = np.array([[2.0, 0.0], [1.0, 0.0]], dtype=complex)
+    gram = Kernel(scalar_space(), np.eye(2).reshape(2, 2, 1, 1))
+    mats, mult, _, _ = _representation_defects(KolmogorovDecomposition(gram, (0, 1), V), act, S)
+    inter = mats[0] @ V.T - V[act[0]].T
+    exact = exact_mult_defect(mats, S)
+    assert np.linalg.norm(inter, 2) == pytest.approx(2.0)
+    assert exact == pytest.approx(2.0 * np.sqrt(2.0))
+    assert mult >= exact * (1 - 1e-12)
 
 
 @settings(max_examples=30, deadline=None)
