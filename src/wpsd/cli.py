@@ -29,6 +29,7 @@ from .dilation import (
 from .errors import SchemaError, WpsdError
 from .kernels import (
     DEFAULT_STRUCTURAL_TOL,
+    METHOD_BLOCK_PSD,
     STATUS_NOT_POSITIVE,
     STATUS_POSITIVE,
     hermitian_defect_kernel,
@@ -215,7 +216,14 @@ def task_check_positivity(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     verdict = weak_positivity(
         kernel, restarts=opts["restarts"], seed=opts["seed"], tol=opts["tolerances"]["structural"]
     )
-    min_eig, psd = strong_positivity(kernel, opts["tolerances"]["structural"])
+    # The weak verdict has already formed the block matrix unless it was
+    # decided before that (non-Hermitian, empty or scalar kernels); it is
+    # block-PSD exactly when that certified it.
+    min_eig = verdict.diagnostics.get("block_min_eig")
+    if min_eig is None:
+        min_eig, psd = strong_positivity(kernel, opts["tolerances"]["structural"])
+    else:
+        psd = verdict.method == METHOD_BLOCK_PSD
     out = {"weak": sz.verdict_to_json(verdict), "strong": {"min_eig": min_eig, "is_psd": psd}}
     if verdict.status == STATUS_POSITIVE:
         return out, 0

@@ -180,7 +180,9 @@ def build_kolmogorov(
     this realisation, so no quotient is needed.
 
     Raises ``NotHermitianError`` (Hermitian defect above ``structural`` times
-    the entry scale) or ``WeakPositivityError``.  An unstable numerical rank
+    the entry scale) or ``WeakPositivityError`` (a probed form with an
+    eigenvalue below ``-structural`` times the entry scale, the bound
+    ``weak_positivity`` holds the cone to).  An unstable numerical rank
     is reported in ``diagnostics['rank_unstable']``, not fatal: some pivot
     was taken with a residual norm within a decade of the cut.  In greedy mode that is exactly when the pivot count at ten times
     the tolerance differs; with a ``pivot_order`` it only says that some
@@ -210,7 +212,7 @@ def build_kolmogorov(
     def probe(forms, coeffs, what) -> float:
         """Least eigenvalue over the forms of the columns of ``coeffs``; raises on a negative one."""
         lam = np.linalg.eigvalsh(hermitian_part(forms)).min(axis=1)
-        bad = np.flatnonzero(lam < -tol * scale)
+        bad = np.flatnonzero(lam < -structural * scale)
         if bad.size:
             x = int(bad[0])
             raise WeakPositivityError(

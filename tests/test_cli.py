@@ -19,7 +19,9 @@ from wpsd import (
     gram_semigroup_map,
     hermitian_space,
     left_regular_star_rep,
+    random_block_psd_kernel,
     scalar_space,
+    strong_positivity,
 )
 from wpsd import serialize as sz
 from wpsd.cli import COMMANDS, main, parse_problem
@@ -100,6 +102,43 @@ def test_check_positivity_exit_codes(tmp_path, capsys):
     assert main(["check-positivity", write_problem(tmp_path, "c.json", und), "--no-timestamp"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["tasks"]["check-positivity"]["strong"]["min_eig"] == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        scalar_kernel([[2, 1], [1, 2]]),
+        scalar_kernel([[1, 2], [2, 1]]),
+        swap_kernel(),
+        random_block_psd_kernel(4, 2, 3, seed=5),
+        Kernel(hermitian_space(2), np.diag([1.0, -1.0]).reshape(1, 1, 2, 2) + 0j),
+        Kernel(hermitian_space(2), np.arange(16.0).reshape(2, 2, 2, 2) + 0j),  # not Hermitian
+    ],
+    ids=["scalar-psd", "scalar-indefinite", "swap", "block-psd", "one-point-indefinite", "non-hermitian"],
+)
+def test_check_positivity_reports_the_strong_verdict(tmp_path, capsys, kernel):
+    # The weak verdict's block eigenvalue, when it has one, is the strong one.
+    prob = {"space": sz.space_to_json(kernel.space), "kernel": sz.kernel_to_json(kernel)}
+    main(["check-positivity", write_problem(tmp_path, "p.json", prob), "--no-timestamp"])
+    strong = json.loads(capsys.readouterr().out)["tasks"]["check-positivity"]["strong"]
+    min_eig, psd = strong_positivity(kernel)
+    assert strong == {"min_eig": min_eig, "is_psd": psd}
+
+
+def test_decompose_holds_cone_probes_to_the_structural_tolerance(tmp_path, capsys):
+    # The diagonal value -5e-9 is below the structural tolerance and above the
+    # rank tolerance: decompose must refuse the kernel that check-positivity
+    # refutes.
+    prob = {
+        "space": {"kind": "scalar", "dim": 1},
+        "kernel": sz.kernel_to_json(scalar_kernel([[1.0, 0.0], [0.0, -5e-9]])),
+    }
+    path = write_problem(tmp_path, "p.json", prob)
+    assert main(["check-positivity", path, "--no-timestamp"]) == 1
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["decompose", path, "--out", str(out)]) == 3
+    assert "diagonal value" in capsys.readouterr().err and not out.exists()
 
 
 def test_decompose_and_represent(tmp_path, capsys):

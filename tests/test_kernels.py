@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpsd import (
     Action,
@@ -177,6 +179,76 @@ def test_witness_soundness_on_random_indefinite():
     assert found > 0
 
 
+def planted_violation_kernel(m, d, rank, seed, margin):
+    """A block-PSD kernel minus ``c t t* (x) h h*``, so that ``<h, M(t) h> = -margin``."""
+    rng = np.random.default_rng(seed)
+    table = np.array(random_block_psd_kernel(m, d, rank, seed).table)
+    t = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    t, h = t / np.linalg.norm(t), h / np.linalg.norm(h)
+    c = np.einsum("a,k,j,kjab,b->", h.conj(), t.conj(), t, table, h).real + margin
+    table -= c * np.einsum("k,j,a,b->kjab", t, t.conj(), h, h.conj())
+    return Kernel(hermitian_space(d), table), t, h
+
+
+def choi_map_kernel():
+    """``k(x, y) = Phi(E_xy)`` for Choi's map ``Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X``.
+
+    Weakly positive (Choi's map is positive) but not decomposable, so
+    neither the block matrix nor its partial transpose is PSD.
+    """
+    table = np.zeros((3, 3, 3, 3), dtype=complex)
+    for x in range(3):
+        for y in range(3):
+            X = np.zeros((3, 3))
+            X[x, y] = 1.0
+            a, b, c = np.diag(X)
+            table[x, y] = np.diag([2 * a + c, 2 * b + a, 2 * c + b]) - X
+    return Kernel(hermitian_space(3), table)
+
+
+def test_choi_map_kernel_stays_undetermined():
+    k = choi_map_kernel()
+    assert strong_positivity(k)[0] == pytest.approx(-1.0)
+    v = weak_positivity(k)
+    assert v.status == STATUS_UNDETERMINED
+    assert v.best_found >= -1e-9 * k.entry_scale
+    assert v.diagnostics["restarts"] == 64
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 6),
+    d=st.integers(2, 3),
+    rank=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+    margin=st.floats(1e-3, 1.0),
+)
+def test_planted_violation_is_never_certified_positive(m, d, rank, seed, margin):
+    k, t, h = planted_violation_kernel(m, d, rank, seed, margin)
+    assert pair_value(k, t, h).real == pytest.approx(-margin)
+    v = weak_positivity(k, restarts=4, seed=seed)
+    assert v.status != STATUS_POSITIVE
+    if v.witness is not None:
+        assert verify_witness(k, v.witness, 1e-9 * k.entry_scale / 2)
+
+
+def test_planted_violation_stops_at_the_first_witness():
+    k, _, _ = planted_violation_kernel(16, 2, 4, seed=11, margin=0.5)
+    v = weak_positivity(k, restarts=64, seed=1)
+    assert v.status == STATUS_NOT_POSITIVE
+    assert v.diagnostics["restarts"] < 64
+    assert verify_witness(k, v.witness, 1e-9 * k.entry_scale / 2)
+
+
+def test_weak_positivity_spawns_restart_seeds_lazily():
+    # The canonical start finds the witness, so no restart seed is ever needed.
+    k = Kernel(hermitian_space(2), np.diag([1.0, -1.0]).reshape(1, 1, 2, 2) + 0j)
+    v = weak_positivity(k, restarts=10**12)
+    assert v.status == STATUS_NOT_POSITIVE
+    assert v.diagnostics["restarts"] == 0
+
+
 def test_sufficiency_ordering():
     for seed in range(100):
         k = random_block_psd_kernel(3, 2, 2, seed=seed)
@@ -209,6 +281,27 @@ def test_strong_positivity_examples():
     G = (B.conj().T @ B).reshape(3, 2, 3, 2).transpose(0, 2, 1, 3)
     _, psd = strong_positivity(Kernel(hermitian_space(2), G))
     assert psd
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600], ids=["1", "2**600", "2**-600"])
+def test_entry_scale_equals_the_full_svd(d, scale):
+    rng = np.random.default_rng(d)
+    tables = [rng.standard_normal((5, 5, d, d)) + 1j * rng.standard_normal((5, 5, d, d))]
+    # The identity has the largest Frobenius norm but not the largest operator norm.
+    t = np.zeros((2, 2, d, d), dtype=complex)
+    t[0, 0] = np.eye(d)
+    t[1, 1, 0, 0] = 1.01
+    tables.append(t)
+    # Near 2**512 the squares of the identity's entries sum past the largest float.
+    t = np.zeros((2, 2, d, d), dtype=complex)
+    t[0, 0] = 0.75 * np.eye(d)
+    t[1, 1, 0, 0] = 0.9
+    kernels = [Kernel(hermitian_space(d), t * scale) for t in tables]
+    kernels.append(Kernel(hermitian_space(d), t * 2.0**512))
+    for k in kernels:
+        assert k.entry_scale == 1.0 + float(np.linalg.svd(k.table, compute_uv=False).max())
+    assert Kernel(hermitian_space(d), np.zeros((0, 0, d, d))).entry_scale == 1.0
 
 
 def test_block_matrix_layout():
