@@ -145,7 +145,7 @@ def run_options(p: Problem, seed=None, restarts=None, report_tol=None) -> dict:
 
 
 class Artifacts:
-    """The lift, decomposition and representation of one problem, each built at most once.
+    """The lift, invariance check, decomposition and representation of one problem, each made once.
 
     Tasks of one run share them, and share the report payloads of the
     decomposition and the representation, so that the report encoder writes
@@ -171,6 +171,12 @@ class Artifacts:
         return lk.kernel, lk.action, lk
 
     @cached_property
+    def invariance_violations(self) -> list:
+        """``is_invariant`` of the lifted kernel under its action, at the structural tolerance."""
+        kernel, action, _ = self.lifted
+        return is_invariant(kernel, self.p.semigroup, action, self.tols["structural"] * kernel.entry_scale)
+
+    @cached_property
     def decomposition(self):
         return build_kolmogorov(self.lifted[0], self.tols["rank"], structural=self.tols["structural"])
 
@@ -178,7 +184,13 @@ class Artifacts:
     def representation(self):
         kernel, action, _ = self.lifted
         return build_representation(
-            self.decomposition, kernel, self.p.semigroup, action, self.tols["rank"], self.tols["structural"]
+            self.decomposition,
+            kernel,
+            self.p.semigroup,
+            action,
+            self.tols["rank"],
+            self.tols["structural"],
+            violations=self.invariance_violations,
         )
 
     @cached_property
@@ -204,7 +216,7 @@ def task_validate(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     if not is_hermitian(kernel, structural):
         out["violations"].append(f"kernel not Hermitian: defect {defect:.3e}")
     if p.semigroup is not None and action is not None and not out["violations"]:
-        inv = is_invariant(kernel, p.semigroup, action, structural)
+        inv = art.invariance_violations
         out["invariance_violations"] = [list(v) for v in inv[:16]]
         if inv:
             out["violations"].append(f"kernel not invariant ({len(inv)} triples)")
@@ -278,10 +290,7 @@ def task_lift(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     if p.kernel is not None:
         raise SchemaError("lift needs an operator_kernel or semigroup_map section")
     _, _, lk = art.lifted
-    inv = []
-    if p.semigroup is not None and lk.action is not None:
-        structural = opts["tolerances"]["structural"] * lk.kernel.entry_scale
-        inv = is_invariant(lk.kernel, p.semigroup, lk.action, structural)
+    inv = art.invariance_violations if p.semigroup is not None and lk.action is not None else []
     out = {"lifted": sz.lifted_to_json(lk), "invariance_violations": [list(v) for v in inv[:16]]}
     return out, (0 if not inv else 1)
 
@@ -334,10 +343,18 @@ def run_tasks(p: Problem, tasks, opts, with_timings: bool) -> tuple[dict, int]:
 
 
 def _atomic_write(path: str, text: str):
+    """Write ``text`` to ``path`` through a temporary file in its directory.
+
+    The file gets the mode ``open(path, "w")`` would give it, ``0o666`` less
+    the umask; ``mkstemp`` alone creates it ``0o600``.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

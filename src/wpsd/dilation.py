@@ -297,17 +297,21 @@ def build_representation(
     A: Action,
     tol: float = DEFAULT_RANK_TOL,
     structural: float = DEFAULT_STRUCTURAL_TOL,
+    violations: list | None = None,
 ) -> StarRepresentation:
     """Representation of the *-semigroup on the decomposition space.
 
     Each element's matrix is fixed by pushing the basis columns along the
     action: basis vector ``i`` (the column of pivot ``p_i``) is sent to the
     coordinates of the column at ``s . p_i``.  Kernel invariance is held to
-    ``structural`` times the entry scale.  The law defects cover the whole
-    semigroup; a coefficient push-forward cross-check guards against an
-    ill-defined action on representatives.
+    ``structural`` times the entry scale; ``violations`` is the result of
+    that check, ``is_invariant(k, S, A, structural * k.entry_scale)``, when
+    the caller has it.  The law defects cover the whole semigroup; a
+    coefficient push-forward cross-check guards against an ill-defined
+    action on representatives.
     """
-    violations = is_invariant(k, S, A, structural * k.entry_scale)
+    if violations is None:
+        violations = is_invariant(k, S, A, structural * k.entry_scale)
     if violations:
         raise NotInvariantError(
             f"kernel is not invariant; first violation (s, x, y, defect) = {violations[0]}",

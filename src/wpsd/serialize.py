@@ -13,10 +13,15 @@ from .lifts import LiftedKernel, SemigroupMapT, VEModuleH, hilbert_module, matri
 from .zspace import ZSpaceDescriptor
 
 
+def _pairs(a) -> np.ndarray:
+    """Float array of the complex array's shape with an ``[re, im]`` axis last."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1)
+
+
 def carray_to_json(a) -> list:
     """Nested lists of the array's shape with ``[re, im]`` pairs as leaves."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack((a.real, a.imag), -1).tolist()
+    return _pairs(a).tolist()
 
 
 def carray_from_json(v, shape: tuple, name: str) -> np.ndarray:
@@ -150,8 +155,8 @@ def witness_to_json(w: Witness | None):
     if w is None:
         return None
     return {
-        "t": cvector_to_json(w.t),
-        "h": cvector_to_json(w.h),
+        "t": _pairs(np.ravel(w.t)),
+        "h": _pairs(np.ravel(w.h)),
         "value": float(w.value),
         "kind": w.kind,
     }
@@ -170,9 +175,9 @@ def verdict_to_json(v: PositivityVerdict) -> dict:
 def decomposition_to_json(dec) -> dict:
     return {
         "n": dec.n,
-        "pivots": list(dec.pivots),
-        "gram": carray_to_json(dec.gram.table),
-        "V": cmatrix_to_json(dec.V),
+        "pivots": np.array(dec.pivots, dtype=np.int64),
+        "gram": _pairs(dec.gram.table),
+        "V": _pairs(np.atleast_2d(dec.V)),
         "residual": float(dec.residual),
         "diagnostics": {k: _plain(x) for k, x in dec.diagnostics.items()},
     }
@@ -180,7 +185,7 @@ def decomposition_to_json(dec) -> dict:
 
 def representation_to_json(rep) -> dict:
     return {
-        "matrices": carray_to_json(rep.matrices),
+        "matrices": _pairs(rep.matrices),
         "mult_defect": float(rep.mult_defect),
         "star_defect": float(rep.star_defect),
         "intertwine_defect": float(rep.intertwine_defect),
@@ -195,7 +200,7 @@ def bound_to_json(b) -> dict:
         "upper": float(b.upper),
         "witness": None
         if b.witness_t is None
-        else {"t": cvector_to_json(b.witness_t), "h": cvector_to_json(b.witness_h)},
+        else {"t": _pairs(np.ravel(b.witness_t)), "h": _pairs(np.ravel(b.witness_h))},
         "diagnostics": {k: _plain(x) for k, x in b.diagnostics.items()},
     }
 
@@ -248,10 +253,15 @@ def semigroup_map_from_json(obj) -> SemigroupMapT:
 
 
 def lifted_to_json(lk: LiftedKernel) -> dict:
-    out = kernel_to_json(lk.kernel)
-    out["legend"] = [list(pair) for pair in lk.legend]
+    k = lk.kernel
+    out = {
+        "space": space_to_json(k.space),
+        "m": k.m,
+        "table": _pairs(k.table),
+        "legend": np.array(lk.legend, dtype=np.int64).reshape(-1, 2),
+    }
     if lk.action is not None:
-        out["action"] = action_to_json(lk.action)
+        out["action"] = {"table": lk.action.table, "unital": bool(lk.action.unital)}
     return out
 
 
@@ -266,29 +276,53 @@ def _plain(x):
 
 
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
-# Stand-ins for the brackets and commas an indented separator writes, so that
-# a shorter separator is never found inside a longer one's indented form.  The
-# C encoder escapes every control character inside strings, so none of these
-# can occur in its output.
-_OPEN, _CLOSE, _COMMA = "\x00", "\x01", "\x02"
-_RESTORE = str.maketrans({_OPEN: "[", _CLOSE: "]", _COMMA: ","})
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """``a.tolist()`` as ``json.dumps(..., indent=2)`` writes it at nesting ``level``.
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, so ``-0.0`` and ``0.0`` stay apart and NaN needs no comparison.
+    After a leaf that closes ``k`` axes comes the separator
+    ``"]" * k + "," + "[" * k`` in its indented form.
+    """
+    if a.size == 0:
+        return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+    flat = a.reshape(-1)
+    bits, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    texts = np.array(_compact(bits.view(flat.dtype).tolist())[1:-1].split(","), dtype=object)
+    pads = ["\n" + "  " * (level + j) for j in range(a.ndim + 1)]
+    opens = [pads[j] + "[" for j in range(1, a.ndim)]
+    shuts = [pads[j] + "]" for j in range(a.ndim - 1, -1, -1)]
+    seps = ["".join([*shuts[:k], ",", *opens[a.ndim - 1 - k :], pads[-1]]) for k in range(a.ndim)]
+    closed = np.zeros(a.size, dtype=np.intp)  # axes closed after each leaf, the last one aside
+    for block in np.cumprod(a.shape[:0:-1]):  # leaves in one row, one matrix, ...
+        closed[block - 1 :: block] += 1
+    parts = np.empty(2 * a.size, dtype=object)
+    parts[0::2] = texts[inverse]
+    parts[1::2] = np.array(seps, dtype=object)[closed]
+    parts[-1] = "".join(shuts)
+    return "".join(["[", *opens, pads[-1], *parts.tolist()])
 
 
 def report_text(report) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, at C speed.
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, with arrays as lists.
 
-    Dicts, and lists whose compact text holds a string (as every non-empty
-    dict does), are walked here.  Every other list is written once by the C
-    encoder; when all its leaves sit at one depth ``D``, each separator
-    ``"]"*k + "," + "["*k`` (``k < D``) is replaced by its indented form.  A
-    container met twice at one depth, such as a payload shared by two tasks,
-    is written once.  Dict keys must be strings.
+    Every numeric table of a report is an ``np.ndarray`` of floats (``[re,
+    im]`` pairs on the last axis) or of integers; :func:`_array_text` writes
+    it as its ``tolist()``, formatting each distinct value once with the C
+    encoder, so every number has the same text as ``json.dumps`` gives it.
+    Report arrays repeat their values: each representation matrix holds
+    entries of ``V``, and an invariant kernel has one value per element.
+    Dicts and lists are walked, scalars written by the C encoder.  A
+    container met twice at one depth, such as a payload shared by two
+    tasks, is written once.  Dict keys must be strings.
     """
     chunks: list[str] = []
     written: dict = {}  # (id(container), level) -> its slice of chunks
 
     def write(o, level: int):
-        if not isinstance(o, (dict, list, tuple)):
+        if not isinstance(o, (dict, list, tuple, np.ndarray)):
             chunks.append(_compact(o))
             return
         key = (id(o), level)
@@ -296,12 +330,14 @@ def report_text(report) -> str:
             chunks.extend(chunks[written[key]])
             return
         start = len(chunks)
-        if not o:
+        if isinstance(o, np.ndarray):
+            chunks.append(_array_text(o, level))
+        elif not o:
             chunks.append("{}" if isinstance(o, dict) else "[]")
         elif isinstance(o, dict):
             key_text = json.encoder.encode_basestring_ascii
             walk("{", ((key_text(k) + ": ", v) for k, v in sorted(o.items())), "}", level)
-        elif not write_flat(o, level):
+        else:
             walk("[", (("", v) for v in o), "]", level)
         written[key] = slice(start, len(chunks))
 
@@ -313,26 +349,6 @@ def report_text(report) -> str:
             write(v, level + 1)
             sep = "," + pad
         chunks.append("\n" + "  " * level + closing)
-
-    def write_flat(o, level: int) -> bool:
-        """Write ``o`` if it holds no string and all its leaves sit at one depth, else return False."""
-        flat = _compact(o)
-        if '"' in flat or "[]" in flat:
-            return False
-        depth = len(flat) - len(flat.lstrip("["))
-        pads = ["\n" + "  " * (level + j) for j in range(depth + 1)]
-        body = flat[depth:-depth]
-        for k in range(depth - 1, -1, -1):
-            closes = "".join(pads[j] + _CLOSE for j in range(depth - 1, depth - 1 - k, -1))
-            opens = "".join(pads[j] + _OPEN for j in range(depth - k, depth))
-            body = body.replace("]" * k + "," + "[" * k, closes + _COMMA + opens + pads[depth])
-        # A bracket left over means the leaves are not all at one depth.
-        if "[" in body or "]" in body:
-            return False
-        head = "[" + "".join(pads[j] + "[" for j in range(1, depth)) + pads[depth]
-        tail = "".join(pads[j] + "]" for j in range(depth - 1, -1, -1))
-        chunks.extend((head, body.translate(_RESTORE), tail))
-        return True
 
     write(report, 0)
     return "".join(chunks)

@@ -292,7 +292,7 @@ def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("lift_semigroup_map", "build_kolmogorov", "build_representation"):
+    for name in ("lift_semigroup_map", "is_invariant", "build_kolmogorov", "build_representation"):
         counted(name)
     S = cyclic_group(3)
     T = gram_semigroup_map(S, left_regular_star_rep(S), np.ones((2, 3, 1)))
@@ -304,7 +304,7 @@ def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
     }
     path = write_problem(tmp_path, "p.json", prob)
     assert main(["all", path, "--no-timestamp", "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == {"lift_semigroup_map": 1, "build_kolmogorov": 1, "build_representation": 1}
+    assert calls == {"lift_semigroup_map": 1, "is_invariant": 1, "build_kolmogorov": 1, "build_representation": 1}
 
 
 def test_report_is_indented_json_and_payloads_are_built_once(tmp_path, monkeypatch):
@@ -334,6 +334,46 @@ def test_report_is_indented_json_and_payloads_are_built_once(tmp_path, monkeypat
     assert represent["decomposition"] == factorize["decomposition"] == report["tasks"]["decompose"]["decomposition"]
     assert represent["representation"] == factorize["representation"]
     assert calls == {"decomposition_to_json": 1, "representation_to_json": 1}
+
+
+def test_gns_report_with_repeated_values_is_indented_json(tmp_path):
+    S = cyclic_group(8)
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((1, 8, 2)) + 1j * rng.standard_normal((1, 8, 2))
+    T = gram_semigroup_map(S, left_regular_star_rep(S), B)
+    prob = {
+        "space": {"kind": "hermitian", "dim": 2},
+        "semigroup": sz.semigroup_to_json(S),
+        "semigroup_map": sz.semigroup_map_to_json(T),
+        "tasks": ["decompose", "represent", "factorize"],
+    }
+    out = tmp_path / "r.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    report = json.loads(text)["tasks"]["factorize"]
+    # Every matrix entry is an entry of V, pushed along the action.
+    V = {tuple(pair) for row in report["decomposition"]["V"] for pair in row}
+    matrices = np.array(report["representation"]["matrices"])
+    assert matrices.shape[0] == 8 and {tuple(pair) for pair in matrices.reshape(-1, 2)} <= V
+
+
+def test_out_report_gets_the_umask_mode(tmp_path):
+    good = write_problem(tmp_path, "p.json", circulant_problem())
+    bad = circulant_problem()
+    del bad["kernel"]
+    bad = write_problem(tmp_path, "bad.json", bad)
+    saved = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            out = tmp_path / f"r{umask:o}.json"
+            assert main(["validate", good, "--out", str(out)]) == 0
+            assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
+            assert main(["validate", bad, "--out", str(tmp_path / "none.json")]) == 3
+    finally:
+        os.umask(saved)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "p.json", "r2.json", "r22.json", "r77.json"]
 
 
 def test_boolean_diagnostics_are_json_booleans(tmp_path, capsys):

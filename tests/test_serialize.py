@@ -34,7 +34,8 @@ def signed_array(shape, rng):
 
 
 def same(encoded, a) -> bool:
-    return json.dumps(encoded) == json.dumps(per_entry(a))
+    """Report payloads hold arrays, written as their ``tolist()``."""
+    return json.dumps(encoded, default=np.ndarray.tolist) == json.dumps(per_entry(a))
 
 
 def test_vectorised_encoding_matches_per_entry():
@@ -114,3 +115,36 @@ def test_report_text_equals_indented_dumps(tree):
     shared = {"tree": tree, "again": tree, "deeper": [tree, {"tree": tree}]}
     for obj in (tree, shared):
         assert sz.report_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@st.composite
+def report_arrays(draw):
+    """Float arrays with an ``[re, im]`` axis last, or int64 tables; axes may have length 0 or 1."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        shape.append(2)
+        values, dtype = FLOATS, np.float64
+    else:
+        values, dtype = st.integers(-(2**63), 2**63 - 1), np.int64
+    size = math.prod(shape)
+    return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype).reshape(shape)
+
+
+ARRAY_TREES = st.recursive(
+    st.one_of(SCALARS, uniform_arrays(), report_arrays()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tree=ARRAY_TREES)
+@example(tree=np.array([[[-0.0, 0.0], [0.0, -0.0]], [[math.nan, -math.nan], [math.inf, -math.inf]]]))
+@example(tree={"a": np.array([[5e-324, 1e308], [-5e-324, 5e-324]]), "b": [np.zeros((2, 0, 2))]})
+@example(tree=[np.arange(6, dtype=np.int64).reshape(1, 3, 2, 1), np.zeros((1, 1, 2))])
+@example(tree=np.zeros((0,), dtype=np.int64))
+def test_report_text_writes_arrays_as_their_lists(tree):
+    # The same containers again, at the same depth and one level deeper.
+    shared = {"tree": tree, "again": tree, "deeper": [tree, {"tree": tree}]}
+    for obj in (tree, shared):
+        assert sz.report_text(obj) == json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
