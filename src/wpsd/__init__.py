@@ -74,6 +74,7 @@ from .lifts import (
 )
 from .repkernel import RKSpace, build_rk, reconstruct_kernel, rk_representation, verify_reproducing
 from .zspace import (
+    Tolerances,
     ZSpaceDescriptor,
     gram_pair,
     hermitian_space,

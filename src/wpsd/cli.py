@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 from . import serialize as sz
 from .algebra import validate_action, validate_semigroup
 from .dilation import (
-    DEFAULT_RANK_TOL,
     bound_constant,
     build_kolmogorov,
     build_representation,
@@ -28,7 +26,6 @@ from .dilation import (
 )
 from .errors import SchemaError, WpsdError
 from .kernels import (
-    DEFAULT_STRUCTURAL_TOL,
     METHOD_BLOCK_PSD,
     STATUS_NOT_POSITIVE,
     STATUS_POSITIVE,
@@ -40,6 +37,7 @@ from .kernels import (
 )
 from .lifts import lift_operator_kernel, lift_semigroup_map, verify_factorization
 from .repkernel import build_rk, verify_reproducing
+from .zspace import Tolerances
 
 COMMANDS = (
     "validate",
@@ -51,8 +49,6 @@ COMMANDS = (
     "factorize",
     "all",
 )
-
-DEFAULT_TOLERANCES = {"structural": DEFAULT_STRUCTURAL_TOL, "rank": DEFAULT_RANK_TOL, "report": 1e-8}
 
 
 @dataclass
@@ -119,16 +115,13 @@ def _nonnegative_int(v, name: str) -> int:
 def run_options(p: Problem, seed=None, restarts=None, report_tol=None) -> dict:
     """Seed, restarts and tolerances of a run; arguments given here override the file's."""
     o = p.options
-    tols = dict(DEFAULT_TOLERANCES)
     given = o.get("tolerances", {})
-    if not isinstance(given, dict) or not set(given) <= set(tols):
-        raise SchemaError(f"options.tolerances must be an object with keys among {sorted(tols)}")
-    tols.update(given)
+    names = sorted(f.name for f in fields(Tolerances))
+    if not isinstance(given, dict) or not set(given) <= set(names):
+        raise SchemaError(f"options.tolerances must be an object with keys among {names}")
+    tols = Tolerances(**given)
     if report_tol is not None:
-        tols["report"] = report_tol
-    for name, v in tols.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (math.isfinite(v) and v > 0):
-            raise SchemaError(f"tolerance {name!r} must be a finite positive number, got {v!r}")
+        tols = replace(tols, report=report_tol)
     elements = o.get("elements")
     if elements is not None:
         if not isinstance(elements, list):
@@ -152,9 +145,9 @@ class Artifacts:
     each payload once.  They are dropped with the object when the run ends.
     """
 
-    def __init__(self, p: Problem, tolerances: dict):
+    def __init__(self, p: Problem, tols: Tolerances):
         self.p = p
-        self.tols = tolerances
+        self.tols = tols
 
     @cached_property
     def lifted(self):
@@ -167,29 +160,24 @@ class Artifacts:
                 raise SchemaError("semigroup_map problems need a 'semigroup' section")
             lk = lift_semigroup_map(p.semigroup_map, p.semigroup)
         else:
-            lk = lift_operator_kernel(p.operator_module, p.operator_table, p.action)
+            lk = lift_operator_kernel(p.operator_module, p.operator_table, p.action, tols=self.tols)
         return lk.kernel, lk.action, lk
 
     @cached_property
     def invariance_violations(self) -> list:
-        """``is_invariant`` of the lifted kernel under its action, at the structural tolerance."""
+        """``is_invariant`` of the lifted kernel under its action."""
         kernel, action, _ = self.lifted
-        return is_invariant(kernel, self.p.semigroup, action, self.tols["structural"] * kernel.entry_scale)
+        return is_invariant(kernel, self.p.semigroup, action, tols=self.tols)
 
     @cached_property
     def decomposition(self):
-        return build_kolmogorov(self.lifted[0], self.tols["rank"], structural=self.tols["structural"])
+        return build_kolmogorov(self.lifted[0], tols=self.tols)
 
     @cached_property
     def representation(self):
         kernel, action, _ = self.lifted
         return build_representation(
-            self.decomposition,
-            kernel,
-            self.p.semigroup,
-            action,
-            self.tols["rank"],
-            self.tols["structural"],
+            self.decomposition, kernel, self.p.semigroup, action, tols=self.tols,
             violations=self.invariance_violations,
         )
 
@@ -203,17 +191,15 @@ class Artifacts:
 
 
 def task_validate(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
-    tols = opts["tolerances"]
     out: dict = {"violations": []}
     if p.semigroup is not None:
         out["violations"] += validate_semigroup(p.semigroup)
     kernel, action, _ = art.lifted
     if p.semigroup is not None and action is not None:
         out["violations"] += validate_action(p.semigroup, action, kernel.m)
-    structural = tols["structural"] * kernel.entry_scale
     defect = hermitian_defect_kernel(kernel)
     out["hermitian_defect"] = defect
-    if not is_hermitian(kernel, structural):
+    if not is_hermitian(kernel, tols=opts["tolerances"]):
         out["violations"].append(f"kernel not Hermitian: defect {defect:.3e}")
     if p.semigroup is not None and action is not None and not out["violations"]:
         inv = art.invariance_violations
@@ -225,15 +211,13 @@ def task_validate(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
 
 def task_check_positivity(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     kernel, _, _ = art.lifted
-    verdict = weak_positivity(
-        kernel, restarts=opts["restarts"], seed=opts["seed"], tol=opts["tolerances"]["structural"]
-    )
+    verdict = weak_positivity(kernel, restarts=opts["restarts"], seed=opts["seed"], tols=opts["tolerances"])
     # The weak verdict has already formed the block matrix unless it was
     # decided before that (non-Hermitian, empty or scalar kernels); it is
     # block-PSD exactly when that certified it.
     min_eig = verdict.diagnostics.get("block_min_eig")
     if min_eig is None:
-        min_eig, psd = strong_positivity(kernel, opts["tolerances"]["structural"])
+        min_eig, psd = strong_positivity(kernel, tols=opts["tolerances"])
     else:
         psd = verdict.method == METHOD_BLOCK_PSD
     out = {"weak": sz.verdict_to_json(verdict), "strong": {"min_eig": min_eig, "is_psd": psd}}
@@ -248,7 +232,7 @@ def task_decompose(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     dec = art.decomposition
     defect = verify_linearisation(dec, art.lifted[0])
     out = {"decomposition": art.decomposition_json, "linearisation_defect": defect}
-    return out, (0 if defect <= opts["tolerances"]["report"] else 1)
+    return out, (0 if defect <= opts["tolerances"].report else 1)
 
 
 def task_represent(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
@@ -265,7 +249,7 @@ def task_represent(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
         "reproducing_defect": verify_reproducing(rk, kernel),
     }
     worst = max(rep.mult_defect, rep.star_defect, rep.intertwine_defect, out["reproducing_defect"])
-    return out, (0 if worst <= opts["tolerances"]["report"] else 1)
+    return out, (0 if worst <= opts["tolerances"].report else 1)
 
 
 def task_bounds(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
@@ -279,10 +263,11 @@ def task_bounds(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     ok = True
     for a in range(p.semigroup.size) if elements is None else elements:
         b = bound_constant(
-            kernel, p.semigroup, action, a, restarts=opts["restarts"], seed=opts["seed"]
+            kernel, p.semigroup, action, a, restarts=opts["restarts"], seed=opts["seed"],
+            tols=opts["tolerances"],
         )
         out["bounds"].append(sz.bound_to_json(b))
-        ok = ok and b.lower <= b.upper + opts["tolerances"]["report"]
+        ok = ok and b.lower <= b.upper + opts["tolerances"].report
     return out, (0 if ok else 1)
 
 
@@ -308,7 +293,7 @@ def task_factorize(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
         "decomposition": art.decomposition_json,
         "representation": art.representation_json,
     }
-    return out, (0 if residual <= opts["tolerances"]["report"] else 1)
+    return out, (0 if residual <= opts["tolerances"].report else 1)
 
 
 TASK_RUNNERS = {

@@ -33,7 +33,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .kernels import (
-    DEFAULT_STRUCTURAL_TOL,
     Kernel,
     block_matrix,
     direction_form,
@@ -42,9 +41,7 @@ from .kernels import (
     pair_value,
     quad_form,
 )
-from .zspace import hermitian_part, pair_coords
-
-DEFAULT_RANK_TOL = 1e-8
+from .zspace import Tolerances, entry_scale, hermitian_part, pair_coords
 
 
 @dataclass(frozen=True)
@@ -164,14 +161,11 @@ def _pivoted_basis(C: np.ndarray, unit: float, rank_tol: float, pivot_order=None
 
 
 def build_kolmogorov(
-    k: Kernel,
-    tol: float = DEFAULT_RANK_TOL,
-    pivot_order=None,
-    structural: float = DEFAULT_STRUCTURAL_TOL,
+    k: Kernel, tols: Tolerances = Tolerances(), pivot_order=None
 ) -> KolmogorovDecomposition:
     """Minimal linearisation of a Hermitian kernel.
 
-    The rank tolerance is ``tol`` times the largest column norm.  Weak
+    The rank cut is ``tols.rank`` times the largest column norm.  Weak
     positivity is not certified here (that is the positivity verifier's
     job); the builder only validates the quadratic forms it actually
     touches: diagonal values must sit in the cone and the self-form of every
@@ -179,16 +173,16 @@ def build_kolmogorov(
     negative.  Functions with vanishing self-form are the zero function in
     this realisation, so no quotient is needed.
 
-    Raises ``NotHermitianError`` (Hermitian defect above ``structural`` times
-    the entry scale) or ``WeakPositivityError`` (a probed form with an
-    eigenvalue below ``-structural`` times the entry scale, the bound
+    Raises ``NotHermitianError`` (Hermitian defect above ``tols.structural``
+    times the entry scale) or ``WeakPositivityError`` (a probed form with an
+    eigenvalue below ``-tols.structural`` times the entry scale, the bound
     ``weak_positivity`` holds the cone to).  An unstable numerical rank
     is reported in ``diagnostics['rank_unstable']``, not fatal: some pivot
     was taken with a residual norm within a decade of the cut.  In greedy mode that is exactly when the pivot count at ten times
     the tolerance differs; with a ``pivot_order`` it only says that some
     pivot lies within a decade of the cut.
     """
-    scale = k.entry_scale
+    structural, scale = tols.structural, k.entry_scale
     defect = hermitian_defect_kernel(k)
     if defect > structural * scale:
         raise NotHermitianError(f"kernel Hermitian defect {defect:.3e}")
@@ -201,7 +195,7 @@ def build_kolmogorov(
     exponent = int(np.frexp(np.max(np.abs(C), initial=0.0))[1])
     unit = 2.0 ** min(-exponent, 1000)
     col_scale = float(np.max(np.linalg.norm(C * unit, axis=0))) if m else 0.0
-    rank_tol = tol * col_scale
+    rank_tol = tols.rank * col_scale
     diagnostics: dict = {}
     pivots: list[int] = []
     if col_scale > 0:
@@ -295,23 +289,21 @@ def build_representation(
     k: Kernel,
     S: StarSemigroup,
     A: Action,
-    tol: float = DEFAULT_RANK_TOL,
-    structural: float = DEFAULT_STRUCTURAL_TOL,
+    tols: Tolerances = Tolerances(),
     violations: list | None = None,
 ) -> StarRepresentation:
     """Representation of the *-semigroup on the decomposition space.
 
     Each element's matrix is fixed by pushing the basis columns along the
     action: basis vector ``i`` (the column of pivot ``p_i``) is sent to the
-    coordinates of the column at ``s . p_i``.  Kernel invariance is held to
-    ``structural`` times the entry scale; ``violations`` is the result of
-    that check, ``is_invariant(k, S, A, structural * k.entry_scale)``, when
-    the caller has it.  The law defects cover the whole semigroup; a
-    coefficient push-forward cross-check guards against an ill-defined
-    action on representatives.
+    coordinates of the column at ``s . p_i``.  ``violations`` is the result
+    of ``is_invariant(k, S, A, tols)`` when the caller has it.  The law
+    defects cover the whole semigroup; a coefficient push-forward
+    cross-check, held to ``tols.rank`` times the entry scale, guards against
+    an ill-defined action on representatives.
     """
     if violations is None:
-        violations = is_invariant(k, S, A, structural * k.entry_scale)
+        violations = is_invariant(k, S, A, tols)
     if violations:
         raise NotInvariantError(
             f"kernel is not invariant; first violation (s, x, y, defect) = {violations[0]}",
@@ -328,7 +320,7 @@ def build_representation(
     np.add.at(moved, (np.arange(S.size)[:, None], A.table), coeff)
     moved[:, list(dec.pivots)] -= mats @ (dec.V.T @ coeff)
     push = float(np.max(np.abs(moved @ k.table.reshape(k.m, k.m, k.d**2)), initial=0.0))
-    if push > max(tol * k.entry_scale * (1.0 + np.linalg.norm(coeff)), 10 * dec.residual * (1.0 + np.linalg.norm(coeff, 1))):
+    if push > max(tols.rank * k.entry_scale * (1.0 + np.linalg.norm(coeff)), 10 * dec.residual * (1.0 + np.linalg.norm(coeff, 1))):
         raise IllDefinedError(
             f"coefficient push-forward disagrees with the matrix action by {push:.3e}"
         )
@@ -368,7 +360,7 @@ def bound_constant(
     restarts: int = 16,
     max_iters: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
+    tols: Tolerances = Tolerances(),
 ) -> BoundEstimate:
     """Bracket ``[lower, upper]`` for the domination constant of ``alpha``.
 
@@ -387,13 +379,15 @@ def bound_constant(
     denominator is PSD, the numerator vanishes on its null space (so no
     product-direction ratio exceeds ``upper**2``), and a re-verified witness
     reaches ``upper**2`` to within the restriction tolerance.
-    ``diagnostics['climbs']`` counts the climbs run.
+    ``diagnostics['climbs']`` counts the climbs run.  ``tols.structural``
+    sets the pencils' null cut and the indefinite-denominator and null-leak
+    tests (see ``Tolerances``).  Neither end of the bracket is ``-0.0``.
     """
     if not (0 <= alpha < S.size):
         raise SchemaError("element index out of range")
     act = A.table[alpha]
     k_a = Kernel(k.space, k.table[np.ix_(act, act)])
-    scale = k.entry_scale
+    tol, scale = tols.structural, k.entry_scale
     rel = max(tol, 1e-12)
 
     B = hermitian_part(block_matrix(k))
@@ -462,8 +456,9 @@ def bound_constant(
     if best_pair is None:
         raise ZeroDenominatorError("no quadratic form with nonvanishing denominator found")
 
-    lower = float(np.sqrt(max(best_ratio, 0.0)))
-    upper = float(np.sqrt(max(upper_sq, 0.0)))
+    # 0.0 goes first: on a tie with -0.0, max returns its first argument.
+    lower = float(np.sqrt(max(0.0, best_ratio)))
+    upper = float(np.sqrt(max(0.0, upper_sq)))
     diagnostics = {"null_leak": null_leak, "denominator_indefinite": indefinite, "climbs": climbs}
     return BoundEstimate(int(alpha), lower, upper, best_pair[0], best_pair[1], diagnostics)
 
@@ -471,15 +466,15 @@ def bound_constant(
 def unitary_equivalence(
     dec1: KolmogorovDecomposition,
     dec2: KolmogorovDecomposition,
-    tol: float = 1e-8,
+    tols: Tolerances = Tolerances(),
 ):
     """Gram-preserving change of basis between two minimal decompositions.
 
     ``U`` is solved least-squares from the generator correspondence
     ``V1(x) -> V2(x)``; returns ``(U, isometry_defect, intertwine_defect)``
-    and raises ``NoIsometryError`` when the defects exceed ``tol`` at the
-    gram scale, which happens exactly when the inputs do not decompose the
-    same kernel.
+    and raises ``NoIsometryError`` when the defects exceed ``tols.rank``
+    times the gram's entry scale, which happens exactly when the inputs do
+    not decompose the same kernel.
     """
     if dec1.m != dec2.m:
         raise NoIsometryError("decompositions live over different point sets")
@@ -491,7 +486,7 @@ def unitary_equivalence(
     U = Ut.T
     iso = float(np.max(np.abs(pair_coords(dec2.gram.table, U, U) - dec1.gram.table))) if dec1.n else 0.0
     inter = float(np.max(np.abs(dec1.V @ U.T - dec2.V))) if dec1.n else 0.0
-    if max(iso, inter) > tol * dec1.gram.entry_scale:
+    if max(iso, inter) > tols.rank * dec1.gram.entry_scale:
         raise NoIsometryError(
             f"no isometry: defects {iso:.3e}/{inter:.3e} exceed tolerance",
             isometry_defect=iso,
@@ -508,15 +503,16 @@ def linearity_preservation_check(
     alpha: int,
     beta: int,
     gamma: int,
-    tol: float = 1e-9,
+    tols: Tolerances = Tolerances(),
 ) -> bool:
     """Whether ``pi(alpha) + pi(beta) = pi(gamma)`` given the kernel identity.
 
     The hypothesis ``k(y, a.x) + k(y, b.x) = k(y, c.x)`` is verified
     entrywise first; if it fails the check refuses with the witness pair
-    rather than returning a vacuous answer.
+    rather than returning a vacuous answer.  Both are held to
+    ``tols.structural``, against the kernel and ``pi(gamma)`` respectively.
     """
-    scale = k.entry_scale
+    tol, scale = tols.structural, k.entry_scale
     lhs = k.table[:, A.table[alpha]] + k.table[:, A.table[beta]]
     rhs = k.table[:, A.table[gamma]]
     gap = np.abs(lhs - rhs)
@@ -529,4 +525,4 @@ def linearity_preservation_check(
     P = rep.matrices
     if P.shape[1] == 0:
         return True
-    return bool(np.linalg.norm(P[alpha] + P[beta] - P[gamma], 2) <= tol * (1.0 + np.linalg.norm(P[gamma], 2)))
+    return bool(np.linalg.norm(P[alpha] + P[beta] - P[gamma], 2) <= tol * entry_scale(P[gamma]))

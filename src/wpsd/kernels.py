@@ -29,17 +29,14 @@ import numpy as np
 
 from .errors import NotHermitianError, SchemaError
 from .zspace import (
+    Tolerances,
     ZSpaceDescriptor,
+    entry_scale,
     hermitian_part,
     involution,
     pair_coords,
     scalar_space,
-    seminorm,
 )
-
-# Structural checks (symmetry, invariance, cone membership) hold a defect
-# to this multiple of a kernel's entry scale unless told otherwise.
-DEFAULT_STRUCTURAL_TOL = 1e-9
 
 STATUS_POSITIVE = "certified_positive"
 STATUS_NOT_POSITIVE = "certified_not_positive"
@@ -81,22 +78,8 @@ class Kernel:
 
     @cached_property
     def entry_scale(self) -> float:
-        """1 + the largest operator norm among the table entries.
-
-        Computed on first use and kept: the table is read-only.  Only the
-        entries whose Frobenius norm is within ``sqrt(d)`` of the largest one
-        can hold the largest operator norm (``|A|_F / sqrt(d) <= |A|_2 <=
-        |A|_F``), so only those are decomposed; the norms are taken on the
-        table scaled by a power of two, which is exact and keeps their
-        squares from overflowing or underflowing.
-        """
-        if self.m == 0:
-            return 1.0
-        t = self.table.reshape(-1, self.d, self.d)
-        exponent = int(np.frexp(np.max(np.abs(t)))[1])
-        fro = np.linalg.norm(t * 2.0 ** min(-exponent, 1000), axis=(1, 2))
-        near = t[fro >= fro.max() / np.sqrt(self.d) * (1.0 - 1e-12)]
-        return 1.0 + float(np.linalg.svd(near, compute_uv=False).max())
+        """``zspace.entry_scale`` of the table, kept: the table is read-only."""
+        return entry_scale(self.table)
 
 
 @dataclass(frozen=True)
@@ -130,25 +113,24 @@ def adjoint_kernel(k: Kernel) -> Kernel:
 
 
 def hermitian_defect_kernel(k: Kernel) -> float:
-    if k.m == 0:
-        return 0.0
-    return float(np.max(np.abs(k.table - adjoint_kernel(k).table)))
+    return float(np.max(np.abs(k.table - involution(k.table).transpose(1, 0, 2, 3)), initial=0.0))
 
 
-def is_hermitian(k: Kernel, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = DEFAULT_STRUCTURAL_TOL * k.entry_scale
-    return hermitian_defect_kernel(k) <= tol
+def is_hermitian(k: Kernel, tols: Tolerances = Tolerances()) -> bool:
+    """Whether ``k(x, y) = k(y, x)*`` up to ``tols.structural`` times the entry scale."""
+    return hermitian_defect_kernel(k) <= tols.structural * k.entry_scale
 
 
-def is_invariant(k: Kernel, S, A, tol: float | None = None) -> list[tuple]:
-    """Violations of ``k(y, s.x) = k(s*.y, x)``, one tuple ``(s, x, y, defect)`` each."""
+def is_invariant(k: Kernel, S, A, tols: Tolerances = Tolerances()) -> list[tuple]:
+    """Violations of ``k(y, s.x) = k(s*.y, x)``, one tuple ``(s, x, y, defect)`` each.
+
+    A violation is a defect above ``tols.structural`` times the entry scale.
+    """
     if A.table.shape != (S.size, k.m):
         raise SchemaError(
             f"action table shape {A.table.shape} does not match ({S.size}, {k.m})"
         )
-    if tol is None:
-        tol = DEFAULT_STRUCTURAL_TOL * k.entry_scale
+    tol = tols.structural * k.entry_scale
     out = []
     for s in range(S.size):
         lhs = k.table[:, A.table[s]]  # lhs[y, x] = k(y, s.x)
@@ -185,17 +167,18 @@ def block_matrix(k: Kernel) -> np.ndarray:
     return k.table.transpose(0, 2, 1, 3).reshape(m * d, m * d)
 
 
-def strong_positivity(k: Kernel, tol: float = DEFAULT_STRUCTURAL_TOL):
+def strong_positivity(k: Kernel, tols: Tolerances = Tolerances()):
     """Minimal eigenvalue of the block matrix and the PSD verdict.
 
-    Assumes a Hermitian kernel (the block matrix is then Hermitian); this is
-    the vector-coefficient notion that implies weak positivity.
+    The verdict holds the eigenvalue to ``-tols.structural`` times the entry
+    scale.  Assumes a Hermitian kernel (the block matrix is then Hermitian);
+    this is the vector-coefficient notion that implies weak positivity.
     """
     if k.m == 0:
         return 0.0, True
     B = block_matrix(k)
     min_eig = float(np.linalg.eigvalsh(hermitian_part(B)).min())
-    return min_eig, bool(min_eig >= -tol * k.entry_scale)
+    return min_eig, bool(min_eig >= -tols.structural * k.entry_scale)
 
 
 def verify_witness(k: Kernel, w: Witness, threshold: float) -> bool:
@@ -258,7 +241,7 @@ def weak_positivity(
     restarts: int = 64,
     max_iters: int = 200,
     seed: int = 0,
-    tol: float = DEFAULT_STRUCTURAL_TOL,
+    tols: Tolerances = Tolerances(),
 ) -> PositivityVerdict:
     """Three-valued weak (block) positivity verdict.
 
@@ -283,13 +266,13 @@ def weak_positivity(
     eigenpair of the ``m x m`` form ``W_h``.  The values never increase, and
     when ``M(t)`` has a simple least eigenvalue the skipped step would
     return ``t`` again.  The search stops after the first descent that ends
-    below ``-tol`` times the entry scale: a re-verified witness decides the
-    verdict, so the rest of the budget could not change it.
+    below ``-tols.structural`` times the entry scale: a re-verified witness
+    decides the verdict, so the rest of the budget could not change it.
     ``diagnostics['restarts']`` counts the random starts run, and
     ``diagnostics['non_converged']`` those among them that used all
     ``max_iters`` iterations.
     """
-    thresh = tol * k.entry_scale
+    thresh = tols.structural * k.entry_scale
     diagnostics: dict = {"restarts": 0, "non_converged": 0}
 
     defect = hermitian_defect_kernel(k)
@@ -310,7 +293,7 @@ def weak_positivity(
         wit = Witness(v[:, 0], np.ones(1, dtype=complex), lam, "negative")
         return PositivityVerdict(STATUS_NOT_POSITIVE, METHOD_SCALAR, wit, lam, diagnostics)
 
-    min_eig, psd = strong_positivity(k, tol)
+    min_eig, psd = strong_positivity(k, tols)
     diagnostics["block_min_eig"] = min_eig
     if psd:
         return PositivityVerdict(STATUS_POSITIVE, METHOD_BLOCK_PSD, None, min_eig, diagnostics)
@@ -360,16 +343,15 @@ def weak_positivity(
     return PositivityVerdict(STATUS_UNDETERMINED, METHOD_EXHAUSTED, None, float(best_val), diagnostics)
 
 
-def twopos_diagnostics(k: Kernel, tol: float | None = None):
+def twopos_diagnostics(k: Kernel, tols: Tolerances = Tolerances()):
     """Split points by vanishing diagonal and flag off-diagonal leakage.
 
-    Returns ``(X0, X1, violations)``: points whose self-value has seminorm
-    within ``tol`` versus the rest, and the pairs ``(x in X0, y)`` whose
-    cross value does not vanish.  Any violation certifies the kernel is not
-    weakly 2-positive.
+    Returns ``(X0, X1, violations)``: points whose self-value has operator
+    norm within ``tols.structural`` times the entry scale versus the rest,
+    and the pairs ``(x in X0, y)`` whose cross value exceeds that bound.
+    Any violation certifies the kernel is not weakly 2-positive.
     """
-    if tol is None:
-        tol = DEFAULT_STRUCTURAL_TOL * k.entry_scale
+    tol = tols.structural * k.entry_scale
     norms = np.linalg.norm(k.table, ord=2, axis=(2, 3)) if k.m else np.zeros((0, 0))
     X0 = [x for x in range(k.m) if norms[x, x] <= tol]
     X1 = [x for x in range(k.m) if norms[x, x] > tol]

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .dilation import linearised_kernel
 from .kernels import Kernel
-from .zspace import ZSpaceDescriptor, hermitian_space, pair_coords, scalar_space
+from .zspace import Tolerances, ZSpaceDescriptor, entry_scale, hermitian_space, pair_coords, scalar_space
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,13 @@ def _basis_pairings(H: VEModuleH, T: np.ndarray) -> np.ndarray:
     return paired.reshape(*T.shape, dz, dz)
 
 
-def adjoint_solve(H: VEModuleH, T: OperatorOnH, tol: float = 1e-9) -> OperatorOnH:
+def adjoint_solve(H: VEModuleH, T: OperatorOnH, tols: Tolerances = Tolerances()) -> OperatorOnH:
     """Solve ``[T b_i, b_j] = [b_i, T* b_j]`` for the adjoint.
 
     On a plain Hilbert module this is the conjugate transpose; on a matrix
     module the gramian is degenerate enough that the linear system may be
     inconsistent, in which case ``NotAdjointableError`` is raised (not every
-    operator is adjointable).
+    operator is adjointable) when the residual exceeds ``tols.structural``.
     """
     dim, dz = H.dim, H.zspace.dim
     G = H.gram_tensor()
@@ -149,9 +149,8 @@ def adjoint_solve(H: VEModuleH, T: OperatorOnH, tol: float = 1e-9) -> OperatorOn
     A_sys = G.transpose(0, 2, 3, 1).reshape(dim * dz * dz, dim)
     rhs = lhs.transpose(0, 2, 3, 1).reshape(dim * dz * dz, dim)
     sol, *_ = np.linalg.lstsq(A_sys, rhs, rcond=None)
-    scale = 1.0 + float(np.max(np.abs(lhs)))
     resid = float(np.max(np.abs(A_sys @ sol - rhs)))
-    if resid > tol * scale:
+    if resid > tols.structural * entry_scale(lhs):
         raise NotAdjointableError(f"adjoint system inconsistent, residual {resid:.3e}")
     return OperatorOnH(T.matrix, sol)
 
@@ -169,7 +168,7 @@ def lift_operator_kernel(
     H: VEModuleH,
     l: np.ndarray,
     action: Action | None = None,
-    tol: float = 1e-9,
+    tols: Tolerances = Tolerances(),
 ) -> LiftedKernel:
     """Lift an operator-valued kernel to value-space entries on pairs.
 
@@ -177,8 +176,8 @@ def lift_operator_kernel(
     lifted entry at ``((x, i), (y, j))`` is ``[l(y, x) b_i, b_j]``.  Since
     the lifted point depends linearly on the module argument, restricting to
     a basis loses nothing.  Every operator must be adjointable with
-    ``l(x, y)* = l(y, x)``; an action on the points lifts to act on pairs by
-    leaving the basis index alone.
+    ``l(x, y)* = l(y, x)`` to ``tols.structural``; an action on the points
+    lifts to act on pairs by leaving the basis index alone.
     """
     l = np.asarray(l, dtype=complex)
     m = l.shape[0]
@@ -188,11 +187,11 @@ def lift_operator_kernel(
         return LiftedKernel(Kernel(H.zspace, np.zeros((0, 0, dz, dz), dtype=complex)), (), action)
     if l.shape != (m, m, dim, dim):
         raise SchemaError(f"operator table must have shape (m, m, {dim}, {dim}), got {l.shape}")
-    scale = 1.0 + float(np.max(np.abs(l)))
+    tol = tols.structural * entry_scale(l)
     for x in range(m):
         for y in range(x, m):
-            adj = adjoint_solve(H, OperatorOnH(l[x, y]), tol).adjoint
-            if float(np.max(np.abs(adj - l[y, x]))) > tol * scale:
+            adj = adjoint_solve(H, OperatorOnH(l[x, y]), tols).adjoint
+            if float(np.max(np.abs(adj - l[y, x]))) > tol:
                 raise HermitianMismatchError(
                     f"l({x},{y})* differs from l({y},{x}) beyond tolerance"
                 )
@@ -329,9 +328,9 @@ def gram_semigroup_map(S: StarSemigroup, rep: np.ndarray, factors: np.ndarray) -
     """Positive map ``T[u][i][j] = B_i* R(u) B_j`` from a *-representation ``R``.
 
     ``rep`` holds one ``r x r`` matrix per element with ``R(st) = R(s) R(t)``
-    and ``R(s*) = R(s)*`` (verified); ``factors`` is a ``(q, r, d)`` family of
-    insertion maps.  The lift of the result is Gram-built, hence weakly (in
-    fact strongly) positive.
+    and ``R(s*) = R(s)*``, verified to the default ``Tolerances.structural``;
+    ``factors`` is a ``(q, r, d)`` family of insertion maps.  The lift of the
+    result is Gram-built, hence weakly (in fact strongly) positive.
     """
     rep = np.asarray(rep, dtype=complex)
     factors = np.asarray(factors, dtype=complex)
@@ -339,12 +338,12 @@ def gram_semigroup_map(S: StarSemigroup, rep: np.ndarray, factors: np.ndarray) -
         raise SchemaError("rep must hold one square matrix per semigroup element")
     if factors.ndim != 3 or factors.shape[1] != rep.shape[1]:
         raise SchemaError("factors must have shape (q, r, d)")
-    scale = 1.0 + float(np.max(np.abs(rep)))
+    tol = Tolerances.structural * entry_scale(rep)
     for a in range(S.size):
-        if float(np.max(np.abs(rep[S.inv[a]] - rep[a].conj().T))) > 1e-9 * scale:
+        if float(np.max(np.abs(rep[S.inv[a]] - rep[a].conj().T))) > tol:
             raise SchemaError(f"rep is not a *-representation: star fails at element {a}")
         for b in range(S.size):
-            if float(np.max(np.abs(rep[S.mult[a, b]] - rep[a] @ rep[b]))) > 1e-9 * scale:
+            if float(np.max(np.abs(rep[S.mult[a, b]] - rep[a] @ rep[b]))) > tol:
                 raise SchemaError(
                     f"rep is not a representation: product fails at ({a}, {b})"
                 )
@@ -359,16 +358,12 @@ def left_regular_star_rep(S: StarSemigroup) -> np.ndarray:
 
     Valid when the involution is the group inverse (so translation is a
     bijection and the transpose matches the starred element); raises
-    otherwise.
+    otherwise.  The 0/1 matrices are compared exactly.
     """
     g = S.size
     R = np.zeros((g, g, g), dtype=complex)
     for s in range(g):
         R[s, S.mult[s], np.arange(g)] = 1.0
-    scale = 2.0
-    for s in range(g):
-        if float(np.max(np.abs(R[S.inv[s]] - R[s].conj().T))) > 1e-12 * scale:
-            raise SchemaError(
-                "left translation is not a *-representation for this involution"
-            )
+    if not np.array_equal(R[S.inv], np.swapaxes(R, 1, 2)):
+        raise SchemaError("left translation is not a *-representation for this involution")
     return R

@@ -24,6 +24,7 @@ from .dilation import (
 )
 from .errors import IllDefinedError, InjectivityFailureError, SchemaError
 from .kernels import Kernel
+from .zspace import Tolerances
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def rk_representation(
     rk: RKSpace,
     S: StarSemigroup,
     A: Action,
-    tol: float = 1e-8,
+    tols: Tolerances = Tolerances(),
 ) -> StarRepresentation:
     """Representation acting on point evaluations by ``k_x -> k_{s.x}``.
 
@@ -107,18 +108,18 @@ def rk_representation(
     matrices and law defects are those of :func:`build_representation` on
     the kernel the space determines.  On the realised functions it must act
     by ``(rho(s) f)(x) = f(s*.x)``; the worst gap over basis functions and
-    elements is checked within ``tol`` and reported as
-    ``diagnostics['conjugation_defect']``.
+    elements is checked within ``tols.rank`` times the entry scale of that
+    kernel and reported as ``diagnostics['conjugation_defect']``.
     """
     k = reconstruct_kernel(rk)
-    pi = build_representation(rk.source, k, S, A, tol)
+    pi = build_representation(rk.source, k, S, A, tols)
     F = rk.functions
     flat = F.reshape(rk.n, rk.m * k.d**2)
     conj = 0.0
     for s in range(S.size):
         moved = (pi.matrices[s].T @ flat).reshape(F.shape)
         conj = max(conj, float(np.abs(moved - F[:, A.table[S.inv[s]]]).max(initial=0.0)))
-    if conj > tol * (1.0 + k.entry_scale):
+    if conj > tols.rank * k.entry_scale:
         raise IllDefinedError(
             f"representation disagrees with the action on realised functions by {conj:.3e}"
         )

@@ -10,7 +10,7 @@ from .algebra import Action, StarSemigroup
 from .errors import SchemaError
 from .kernels import Kernel, PositivityVerdict, Witness
 from .lifts import LiftedKernel, SemigroupMapT, VEModuleH, hilbert_module, matrix_module
-from .zspace import ZSpaceDescriptor
+from .zspace import Tolerances, ZSpaceDescriptor
 
 
 def _pairs(a) -> np.ndarray:
@@ -76,14 +76,6 @@ def _table_size(v, name: str) -> int:
     return len(v)
 
 
-def cmatrix_to_json(a: np.ndarray) -> list:
-    return carray_to_json(np.atleast_2d(a))
-
-
-def cvector_to_json(v: np.ndarray) -> list:
-    return carray_to_json(np.ravel(v))
-
-
 def space_to_json(space: ZSpaceDescriptor) -> dict:
     return {"kind": space.kind, "dim": space.dim, "tolerance": space.tolerance}
 
@@ -91,7 +83,7 @@ def space_to_json(space: ZSpaceDescriptor) -> dict:
 def space_from_json(obj) -> ZSpaceDescriptor:
     if not isinstance(obj, dict):
         raise SchemaError("space must be an object")
-    tol = obj.get("tolerance", 1e-9)
+    tol = obj.get("tolerance", Tolerances.structural)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not np.isfinite(tol):
         raise SchemaError(f"space tolerance must be a finite number, got {tol!r}")
     return ZSpaceDescriptor(
@@ -266,13 +258,8 @@ def lifted_to_json(lk: LiftedKernel) -> dict:
 
 
 def _plain(x):
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    return x
+    """The Python scalar of a numpy scalar; anything else as it is."""
+    return x.item() if isinstance(x, np.generic) else x
 
 
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode

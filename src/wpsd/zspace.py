@@ -15,6 +15,7 @@ in the first slot and linear in the second.  All functions here are pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,18 +36,74 @@ SCHWARZ_CONSTANT = 4.0
 
 
 @dataclass(frozen=True)
+class Tolerances:
+    """The tolerances of a run, and the one table of which check reads which.
+
+    Callers pass it whole.  ``structural`` and ``rank`` are relative to
+    :func:`entry_scale` of the table named; ``report`` is absolute, because
+    reports are re-checked from outside the package against absolute bounds.
+
+    ==============================================  ==========  ====================================
+    check                                           field       relative to the entry scale of
+    ==============================================  ==========  ====================================
+    ``is_hermitian``, ``is_invariant``,             structural  the kernel
+    ``twopos_diagnostics``, ``strong_positivity``,
+    ``weak_positivity``, ``bound_constant``,
+    ``build_kolmogorov``, ``build_representation``
+    (invariance), ``linearity_preservation_check``
+    ``lift_operator_kernel``                        structural  the operator table
+    ``adjoint_solve``                               structural  the pairings ``[T b_i, b_j]``
+    ``gram_semigroup_map``                          structural  the representation
+    ``build_representation`` (push-forward)         rank        the kernel, times the probe's norm
+    ``rk_representation``                           rank        the reconstructed kernel
+    ``unitary_equivalence``                         rank        the gram
+    ``build_kolmogorov``'s pivot cut                rank        no table: the largest column norm
+    ``bound_constant``'s null cut (>= 1e-12)        structural  no table: the largest eigenvalue
+    the CLI's pass/fail tests                       report      nothing: absolute
+    ==============================================  ==========  ====================================
+    """
+
+    structural: float = 1e-9
+    rank: float = 1e-8
+    report: float = 1e-8
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
+                raise SchemaError(f"tolerance {name!r} must be a finite positive number, got {v!r}")
+
+
+def entry_scale(table) -> float:
+    """1 + the largest operator norm among the square entries of ``table``, shape ``(..., d, d)``.
+
+    Only entries whose Frobenius norm is within ``sqrt(d)`` of the largest
+    can hold the largest operator norm (``|A|_F / sqrt(d) <= |A|_2 <=
+    |A|_F``), so only those are decomposed.  The norms are taken on the
+    table scaled by a power of two: exact, and safe from overflow.
+    """
+    d = np.shape(table)[-1]
+    t = np.asarray(table, dtype=complex).reshape(-1, d, d)
+    if t.shape[0] == 0:
+        return 1.0
+    exponent = int(np.frexp(np.max(np.abs(t)))[1])
+    fro = np.linalg.norm(t * 2.0 ** min(-exponent, 1000), axis=(1, 2))
+    near = t[fro >= fro.max() / np.sqrt(d) * (1.0 - 1e-12)]
+    return 1.0 + float(np.linalg.svd(near, compute_uv=False).max())
+
+
+@dataclass(frozen=True)
 class ZSpaceDescriptor:
     """Which ordered *-space the elements live in.
 
     ``kind`` is ``"scalar"`` (complex numbers, cone = nonnegative reals) or
     ``"hermitian"`` (``dim x dim`` matrices, cone = positive semidefinite).
     ``tolerance`` is the relative cone-membership slack; the effective slack
-    for an element ``z`` is ``tolerance * (1 + opnorm(z))``.
+    for an element ``z`` is ``tolerance * entry_scale(z)``.
     """
 
     kind: str = "scalar"
     dim: int = 1
-    tolerance: float = 1e-9
+    tolerance: float = Tolerances.structural
 
     def __post_init__(self):
         if self.kind not in ("scalar", "hermitian"):
@@ -59,11 +116,11 @@ class ZSpaceDescriptor:
             raise SchemaError("tolerance must be nonnegative")
 
 
-def scalar_space(tolerance: float = 1e-9) -> ZSpaceDescriptor:
+def scalar_space(tolerance: float = Tolerances.structural) -> ZSpaceDescriptor:
     return ZSpaceDescriptor("scalar", 1, tolerance)
 
 
-def hermitian_space(dim: int, tolerance: float = 1e-9) -> ZSpaceDescriptor:
+def hermitian_space(dim: int, tolerance: float = Tolerances.structural) -> ZSpaceDescriptor:
     return ZSpaceDescriptor("hermitian", dim, tolerance)
 
 
@@ -105,11 +162,6 @@ def seminorm(z: np.ndarray, tag: str = "operator") -> float:
     return float(s.max()) if tag == "operator" else float(s.sum())
 
 
-def cone_slack(z: np.ndarray, space: ZSpaceDescriptor) -> float:
-    """Scale-aware cone membership tolerance for a concrete element."""
-    return space.tolerance * (1.0 + seminorm(z, "operator"))
-
-
 def in_cone(z, space: ZSpaceDescriptor) -> bool:
     """Membership in the positive cone, up to the scale-aware slack.
 
@@ -117,7 +169,7 @@ def in_cone(z, space: ZSpaceDescriptor) -> bool:
     of the Hermitian part is above minus the slack.
     """
     z = as_zelement(z, space)
-    tol = cone_slack(z, space)
+    tol = space.tolerance * entry_scale(z)
     if hermitian_defect(z) > tol:
         return False
     return float(np.linalg.eigvalsh(hermitian_part(z)).min()) >= -tol

@@ -34,7 +34,7 @@ from wpsd import (
     weak_positivity,
 )
 from wpsd.kernels import STATUS_NOT_POSITIVE, STATUS_POSITIVE
-from wpsd.zspace import gram_pair, seminorm
+from wpsd.zspace import Tolerances, gram_pair, seminorm
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -126,7 +126,7 @@ def test_criterion_05_scalar_exactness():
         k = scalar_kernel((a + a.conj().T) / 2)
         lam = float(np.linalg.eigvalsh(k.table[:, :, 0, 0]).min())
         expected = STATUS_POSITIVE if lam >= -1e-9 * k.entry_scale else STATUS_NOT_POSITIVE
-        if weak_positivity(k, tol=1e-9).status != expected:
+        if weak_positivity(k, tols=Tolerances(structural=1e-9)).status != expected:
             disagreements += 1
     _report(5, disagreements == 0, f"{disagreements} disagreements with direct eigendecomposition over 1000 scalar kernels")
 

@@ -1,4 +1,6 @@
+import ast
 import copy
+import inspect
 import json
 import math
 import os
@@ -19,12 +21,16 @@ from wpsd import (
     gram_semigroup_map,
     hermitian_space,
     left_regular_star_rep,
+    matrix_module,
     random_block_psd_kernel,
+    right_multiplication,
     scalar_space,
     strong_positivity,
 )
+from wpsd import cli
 from wpsd import serialize as sz
 from wpsd.cli import COMMANDS, main, parse_problem
+from wpsd.zspace import entry_scale
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -182,7 +188,7 @@ def test_lift_operator_kernel_problem(tmp_path, capsys):
         "space": {"kind": "scalar", "dim": 1},
         "operator_kernel": {
             "module": {"kind": "hilbert", "r": 2},
-            "table": [[sz.cmatrix_to_json(l[0, 0])]],
+            "table": sz.carray_to_json(l),
         },
         "tasks": ["lift", "check-positivity", "decompose"],
     }
@@ -247,6 +253,7 @@ def _set(path, value):
         (["decompose"], _set(("options", "tolerances"), {"report": float("nan")})),
         (["decompose"], _set(("options", "tolerances"), {"rank": "1e-8"})),
         (["decompose"], _set(("options", "tolerances"), {"ranks": 1e-8})),
+        (["decompose"], _set(("options", "tolerances"), {"structural": 10**400})),
         (["bounds"], _set(("options", "elements"), [3])),
         (["bounds"], _set(("options", "elements"), ["1"])),
     ],
@@ -265,6 +272,7 @@ def _set(path, value):
         "tolerance-nan",
         "tolerance-not-a-number",
         "tolerance-unknown",
+        "tolerance-beyond-the-largest-float",
         "element-out-of-range",
         "element-not-an-integer",
     ],
@@ -525,6 +533,75 @@ def test_represent_holds_invariance_to_the_structural_tolerance(tmp_path, capsys
     assert tasks["represent"]["representation"]["star_defect"] == pytest.approx(1e-7, rel=1e-3)
 
 
+def _operator_kernel_problem(m, seed, delta):
+    """Right multiplication by ``M(x, y) = G(y)* G(x)`` on ``matrix_module(2, 2)``.
+
+    ``M(0, 1)`` moves by ``delta`` times the operator table's entry scale, so
+    that ``l(0, 1)* = l(1, 0)`` fails by that much.
+    """
+    H = matrix_module(2, 2)
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+    M = np.einsum("yba,xbc->xyac", G.conj(), G)
+    scale = entry_scale(np.array([[right_multiplication(H, M[x, y]) for y in range(m)] for x in range(m)]))
+    M[0, 1, 0, 1] += delta * scale
+    l = np.array([[right_multiplication(H, M[x, y]) for y in range(m)] for x in range(m)])
+    return {
+        "space": {"kind": "hermitian", "dim": 2},
+        "operator_kernel": {"module": {"kind": "matrix_module", "d": 2, "kcols": 2}, "table": sz.carray_to_json(l)},
+        "tasks": ["lift", "validate", "check-positivity"],
+        "options": {"seed": 1, "restarts": 4},
+    }
+
+
+def _gns_problem(g, seed, delta):
+    """A GNS kernel on ``cyclic_group(g)`` with ``k(0, 1)`` and ``k(1, 0)`` moved by ``delta`` times its entry scale."""
+    S = cyclic_group(g)
+    inst = gns_instance(S, np.fft.ifft(np.random.default_rng(seed).uniform(1.0, 2.0, g)))
+    table = np.array(inst.kernel.table)
+    table[0, 1] += delta * inst.kernel.entry_scale
+    table[1, 0] = np.conj(table[0, 1])
+    return {
+        "space": {"kind": "scalar", "dim": 1},
+        "kernel": {"table": sz.carray_to_json(table)},
+        "semigroup": sz.semigroup_to_json(S),
+        "action": sz.action_to_json(inst.action),
+        "tasks": ["validate", "represent", "bounds"],
+        "options": {"seed": 1, "restarts": 4},
+    }
+
+
+def _task_exits(prob, tolerances) -> dict:
+    """Exit code of each task of ``prob``, each run as its own command under ``tolerances``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w") as fh:
+            json.dump({**prob, "options": {**prob["options"], "tolerances": tolerances}}, fh)
+        out = os.path.join(tmp, "r.json")
+        return {task: main([task, path, "--no-timestamp", "--out", out]) for task in prob["tasks"]}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    make=st.sampled_from([(_operator_kernel_problem, "lift", 3), (_gns_problem, "validate", 1)]),
+    size=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    log_delta=st.floats(math.log10(2e-9), -6.0),
+)
+def test_a_defect_between_two_structural_tolerances_follows_the_run_options(make, size, seed, log_delta):
+    # A relative defect between the default structural tolerance and 1e-5 is
+    # accepted by every task under 1e-5 and refused under the default.  The
+    # range keeps away from both ends: the move shifts the entry scale it is
+    # held against, the lifted table's entry scale can be half the operator
+    # table's, and the report tolerance, absolute, meets the move times the
+    # kernel's entry scale (about 2.5 here) in the star law.
+    build, refusing_task, refusal = make
+    loose = {"structural": 1e-5, "report": 1e-5}
+    planted = build(size + 1, seed, 10.0**log_delta)
+    assert _task_exits(planted, loose) == _task_exits(build(size + 1, seed, 0.0), loose)
+    assert _task_exits(planted, {})[refusing_task] == refusal
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -717,3 +794,14 @@ def test_mutated_problem_files_never_crash(prob):
             code = main(["all", path, "--out", out, "--restarts", "2", "--no-timestamp"])
         assert code in (0, 1, 2, 3)
         assert os.path.exists(out) == (code != 3)
+
+
+def test_the_cli_passes_its_tolerances_to_every_call_that_takes_them():
+    # A call that leaves ``tols`` out would hold its check to the default
+    # tolerances whatever the run asks for.
+    tree = ast.parse(inspect.getsource(cli))
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            fn = getattr(cli, call.func.id, None)
+            if inspect.isfunction(fn) and "tols" in inspect.signature(fn).parameters:
+                assert "tols" in [kw.arg for kw in call.keywords], f"{call.func.id} at line {call.lineno}"

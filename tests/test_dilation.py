@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -33,15 +34,13 @@ from wpsd import (
     unitary_equivalence,
     verify_linearisation,
 )
-from wpsd.cli import DEFAULT_TOLERANCES
 from wpsd.dilation import (
-    DEFAULT_RANK_TOL,
     KolmogorovDecomposition,
     _representation_defects,
     _restricted_pencil_max,
 )
 from wpsd.kernels import block_matrix, direction_form, pair_value, quad_form
-from wpsd.zspace import hermitian_part
+from wpsd.zspace import Tolerances, hermitian_part
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -143,7 +142,7 @@ def test_rank_instability_reported():
     assert dec.diagnostics["rank_unstable"] is False
 
 
-def _two_pass_rank_unstable(k, tol=DEFAULT_RANK_TOL):
+def _two_pass_rank_unstable(k, tol=Tolerances.rank):
     """The earlier rule: greedy pivot counts at ``rank_tol`` and ``10 * rank_tol`` differ.
 
     A copy of the two greedy modified Gram-Schmidt passes it ran, on the
@@ -451,7 +450,7 @@ def test_bound_early_stop_keeps_the_full_search_answer(kind, g, d, alpha, seed):
         k = random_block_psd_kernel(g, 2, 2, seed=seed)
     restarts, tol = 4, 1e-9
     rel = max(tol, 1e-12)
-    b = bound_constant(k, S, A, alpha, restarts=restarts, seed=seed, tol=tol)
+    b = bound_constant(k, S, A, alpha, restarts=restarts, seed=seed, tols=Tolerances(structural=tol))
     lower, upper, t, h = full_search_bound(k, S, A, alpha, restarts=restarts, seed=seed, tol=tol)
     assert 1 <= b.diagnostics["climbs"] <= k.m + restarts
     assert b.upper == upper
@@ -486,6 +485,38 @@ def test_bound_indefinite_denominator_runs_every_climb():
     assert b.diagnostics["denominator_indefinite"] is True and b.diagnostics["null_leak"] == 0.0
     assert b.lower == b.upper == 1.0
     assert b.diagnostics["climbs"] == 3 + 4
+
+
+def brandt_semigroup(n):
+    """``B_n`` with a unit (index 0) and a zero (index 1) adjoined; ``E_ij`` is at ``2 + n i + j``.
+
+    ``E_ij E_kl = delta_jk E_il`` and ``E_ij* = E_ji``.  Returns the semigroup
+    and its *-representation by matrix units, ``R(E_ij) = e_i e_j^T``.
+    """
+    g = n * n + 2
+    mult = np.ones((g, g), dtype=int)
+    mult[0], mult[:, 0] = np.arange(g), np.arange(g)
+    mult[1], mult[:, 1] = 1, 1
+    inv = np.arange(g)
+    R = np.zeros((g, n, n), dtype=complex)
+    R[0] = np.eye(n)
+    for i, j in itertools.product(range(n), repeat=2):
+        inv[2 + n * i + j] = 2 + n * j + i
+        R[2 + n * i + j, i, j] = 1.0
+        mult[2 + n * i + j, 2 + n * j : 2 + n * j + n] = 2 + n * i + np.arange(n)
+    return StarSemigroup(mult, inv, unit=0), R
+
+
+def test_bound_of_the_zero_element_is_plus_zero():
+    # The zero element pushes every point to one whose forms all vanish, so
+    # the bracket is [0, 0]; neither end may be written as -0.0.
+    S, R = brandt_semigroup(3)
+    rng = np.random.default_rng(1)
+    B = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
+    lk = lift_semigroup_map(gram_semigroup_map(S, R, B), S)
+    b = bound_constant(lk.kernel, S, lk.action, 1)
+    assert b.lower == b.upper == 0.0
+    assert not np.signbit(b.lower) and not np.signbit(b.upper)
 
 
 # -------------------------------------------------------------- equivalence
@@ -695,9 +726,9 @@ def test_representation_laws_on_random_invariant_kernels(g, q, d, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((q, g, d)) + 1j * rng.standard_normal((q, g, d))
     lk = lift_semigroup_map(gram_semigroup_map(S, left_regular_star_rep(S), B), S)
-    rank_tol, report_tol = DEFAULT_TOLERANCES["rank"], DEFAULT_TOLERANCES["report"]
-    dec = build_kolmogorov(lk.kernel, rank_tol)
-    pi = build_representation(dec, lk.kernel, S, lk.action, rank_tol)
-    rho = rk_representation(build_rk(dec), S, lk.action, rank_tol)
+    tols = Tolerances()
+    dec = build_kolmogorov(lk.kernel, tols)
+    pi = build_representation(dec, lk.kernel, S, lk.action, tols)
+    rho = rk_representation(build_rk(dec), S, lk.action, tols)
     for rep in (pi, rho):
-        assert max(rep.mult_defect, rep.star_defect, rep.intertwine_defect) <= report_tol
+        assert max(rep.mult_defect, rep.star_defect, rep.intertwine_defect) <= tols.report

@@ -43,10 +43,6 @@ def test_vectorised_encoding_matches_per_entry():
     for shape in [(3,), (3, 4), (3, 0), (0, 0), (2, 2, 2, 2)]:
         a = signed_array(shape, rng)
         assert same(sz.carray_to_json(a), a)
-        if a.ndim == 1:
-            assert same(sz.cvector_to_json(a), a)
-        if a.ndim == 2:
-            assert same(sz.cmatrix_to_json(a), a)
 
     table = signed_array((3, 3, 2, 2), rng)
     assert np.signbit(table.real).any() and np.signbit(table.imag).any()

@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import wpsd
 from wpsd import (
     Kernel,
     SchemaError,
@@ -16,7 +20,7 @@ from wpsd import (
     ve_seminorm,
 )
 from wpsd.kernels import random_block_psd_kernel
-from wpsd.zspace import pair_coords, validate_gram
+from wpsd.zspace import Tolerances, pair_coords, validate_gram
 
 HERM2 = hermitian_space(2)
 
@@ -197,3 +201,23 @@ def test_pair_coords_matches_einsum(n, d, p, q):
     got = pair_coords(blocks, U, W)
     assert got.shape == (p, q, d, d)
     np.testing.assert_allclose(got, np.einsum("ai,bj,abce->ijce", U.conj(), W, blocks), atol=1e-12)
+
+
+def test_no_parameter_default_in_the_package_holds_a_float_literal():
+    # Tolerance defaults read Tolerances, so a library call and a run agree on
+    # them; a float literal in a default would be a second place to set one.
+    found = []
+    for path in sorted(pathlib.Path(wpsd.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for default in filter(None, [*fn.args.defaults, *fn.args.kw_defaults]):
+                    if any(isinstance(n, ast.Constant) and isinstance(n.value, float) for n in ast.walk(default)):
+                        found.append(f"{path.name}:{default.lineno}")
+    assert found == []
+
+
+def test_tolerances_validate_each_field():
+    assert Tolerances() == Tolerances(structural=1e-9, rank=1e-8, report=1e-8)
+    for bad in (0.0, -1e-9, float("inf"), float("nan"), 10**400, True, "1e-8"):
+        with pytest.raises(SchemaError):
+            Tolerances(rank=bad)
