@@ -3,6 +3,10 @@
 Exit codes: 0 all checks pass, 1 a property is violated, 2 the verdict is
 undetermined, 3 malformed input or a module-level error.  No report is
 written on exit 3.
+
+With ``--no-timestamp`` identical inputs give identical report bytes at a
+fixed BLAS thread count; between thread counts the low-order digits of
+some values can differ (at about 1e-16), though no exit code does.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .kernels import (
     weak_positivity,
 )
 from .lifts import lift_operator_kernel, lift_semigroup_map, verify_factorization
-from .repkernel import build_rk, verify_reproducing
+from .repkernel import build_rk, verify_reproducing  # noqa: F401  perfbench/tracer.py wraps it by name
 from .zspace import Tolerances
 
 COMMANDS = (
@@ -182,6 +186,11 @@ class Artifacts:
         )
 
     @cached_property
+    def linearisation_defect(self) -> float:
+        """``verify_linearisation`` of the decomposition against the lifted kernel."""
+        return verify_linearisation(self.decomposition, self.lifted[0])
+
+    @cached_property
     def decomposition_json(self) -> dict:
         return sz.decomposition_to_json(self.decomposition)
 
@@ -229,8 +238,7 @@ def task_check_positivity(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
 
 
 def task_decompose(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
-    dec = art.decomposition
-    defect = verify_linearisation(dec, art.lifted[0])
+    defect = art.linearisation_defect
     out = {"decomposition": art.decomposition_json, "linearisation_defect": defect}
     return out, (0 if defect <= opts["tolerances"].report else 1)
 
@@ -238,15 +246,18 @@ def task_decompose(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
 def task_represent(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     if p.semigroup is None:
         raise SchemaError("represent needs a 'semigroup' section")
-    kernel, action, _ = art.lifted
+    _, action, _ = art.lifted
     if action is None:
         raise SchemaError("represent needs an 'action' section")
-    dec, rep = art.decomposition, art.representation
-    rk = build_rk(dec)
+    rep = art.representation
+    # The space's functions are realised from the decomposition itself, so
+    # ``verify_reproducing``'s realisation term is exactly 0 here and only
+    # the linearisation term is left; ``build_rk`` still checks injectivity.
+    build_rk(art.decomposition)
     out = {
         "decomposition": art.decomposition_json,
         "representation": art.representation_json,
-        "reproducing_defect": verify_reproducing(rk, kernel),
+        "reproducing_defect": art.linearisation_defect,
     }
     worst = max(rep.mult_defect, rep.star_defect, rep.intertwine_defect, out["reproducing_defect"])
     return out, (0 if worst <= opts["tolerances"].report else 1)
@@ -362,7 +373,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-timestamp",
         action="store_true",
-        help="omit timestamp and timings so identical inputs give identical bytes",
+        help="omit timestamp and timings so identical inputs give identical bytes "
+        "(at a fixed BLAS thread count)",
     )
     args = parser.parse_args(argv)
 
@@ -377,6 +389,7 @@ def main(argv=None) -> int:
 
     try:
         problem = parse_problem(raw)
+        del raw  # the nested lists of a large table outweigh its arrays; free them before the tasks
         opts = run_options(problem, args.seed, args.restarts, args.tol)
         tasks = [args.command] if args.command != "all" else (problem.tasks or ["validate"])
         report, code = run_tasks(problem, tasks, opts, with_timings=not args.no_timestamp)

@@ -36,7 +36,6 @@ from .kernels import (
     Kernel,
     block_matrix,
     direction_form,
-    hermitian_defect_kernel,
     is_invariant,
     pair_value,
     quad_form,
@@ -183,7 +182,7 @@ def build_kolmogorov(
     pivot lies within a decade of the cut.
     """
     structural, scale = tols.structural, k.entry_scale
-    defect = hermitian_defect_kernel(k)
+    defect = k.hermitian_defect
     if defect > structural * scale:
         raise NotHermitianError(f"kernel Hermitian defect {defect:.3e}")
     m, d = k.m, k.d

@@ -17,6 +17,12 @@ The falsifier is an alternating eigenvector descent on the bilinear form
 points; any claimed negative witness is re-verified from the raw table.
 Each descent stops once its cheap ``d x d`` step no longer lowers the value,
 and the search stops at the first descent that finds a witness.
+
+Every form ``M(t)`` depends on ``t`` only through its part in the span of
+the kernel's columns, of dimension ``p <= m`` (the linearisation behind the
+Kolmogorov decomposition), and vanishes on the complement.  So the
+descent's ``t``-steps run on the kernel compressed to an orthonormal basis
+of that span, ``p x p`` eigenproblems in place of ``m x m`` ones.
 """
 
 from __future__ import annotations
@@ -81,6 +87,12 @@ class Kernel:
         """``zspace.entry_scale`` of the table, kept: the table is read-only."""
         return entry_scale(self.table)
 
+    @cached_property
+    def hermitian_defect(self) -> float:
+        """Max entrywise gap between ``k(x, y)`` and ``k(y, x)*``, kept like ``entry_scale``."""
+        t = self.table
+        return float(np.max(np.abs(t - involution(t).transpose(1, 0, 2, 3)), initial=0.0))
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -113,12 +125,12 @@ def adjoint_kernel(k: Kernel) -> Kernel:
 
 
 def hermitian_defect_kernel(k: Kernel) -> float:
-    return float(np.max(np.abs(k.table - involution(k.table).transpose(1, 0, 2, 3)), initial=0.0))
+    return k.hermitian_defect
 
 
 def is_hermitian(k: Kernel, tols: Tolerances = Tolerances()) -> bool:
     """Whether ``k(x, y) = k(y, x)*`` up to ``tols.structural`` times the entry scale."""
-    return hermitian_defect_kernel(k) <= tols.structural * k.entry_scale
+    return k.hermitian_defect <= tols.structural * k.entry_scale
 
 
 def is_invariant(k: Kernel, S, A, tols: Tolerances = Tolerances()) -> list[tuple]:
@@ -198,6 +210,20 @@ def _min_eigpair(M: np.ndarray):
     return float(w[0]), v[:, 0]
 
 
+def _column_basis(k: Kernel) -> np.ndarray:
+    """Orthonormal basis ``Q`` (``m x p``) of the span of the kernel's columns in ``C^m``.
+
+    The span is the range of the column matrix ``C = table.reshape(m, m d^2)``,
+    read off the ``m x m`` factor ``R^*`` of ``C = R^* Q_1^*`` (the QR of
+    ``C^*``).  Singular values at or below ``s_max * max(C.shape) * eps`` are
+    rounding and are cut, as ``numpy.linalg.matrix_rank`` cuts them.
+    """
+    C = k.table.reshape(k.m, -1)
+    R = np.linalg.qr(C.conj().T, mode="r")
+    U, s, _ = np.linalg.svd(R.conj().T)
+    return U[:, : int(np.sum(s > s[0] * max(C.shape) * np.finfo(float).eps))]
+
+
 def _nonhermitian_witness(k: Kernel, thresh: float) -> Witness:
     """Two-point witness that some quadratic form leaves the cone.
 
@@ -263,19 +289,32 @@ def weak_positivity(
     Each iteration of a descent first takes the least eigenpair ``(b, h)``
     of the ``d x d`` form ``M(t)``, and stops once ``b`` is within 1e-12 of
     the previous iteration's value; only otherwise does it take the least
-    eigenpair of the ``m x m`` form ``W_h``.  The values never increase, and
-    when ``M(t)`` has a simple least eigenvalue the skipped step would
-    return ``t`` again.  The search stops after the first descent that ends
-    below ``-tols.structural`` times the entry scale: a re-verified witness
-    decides the verdict, so the rest of the budget could not change it.
-    ``diagnostics['restarts']`` counts the random starts run, and
+    eigenpair of the form ``W_h = [<h, k(x_k, x_j) h>]``.  The values never
+    increase, and when ``M(t)`` has a simple least eigenvalue the skipped
+    step would return ``t`` again.  The search stops after the first descent
+    that ends below ``-tols.structural`` times the entry scale: a re-verified
+    witness decides the verdict, so the rest of the budget could not change
+    it.  ``diagnostics['restarts']`` counts the random starts run, and
     ``diagnostics['non_converged']`` those among them that used all
     ``max_iters`` iterations.
+
+    The ``t``-step runs in the span of the kernel's columns: with ``Q`` an
+    orthonormal basis of it (``m x p``), it is the least eigenpair of the
+    ``p x p`` form ``Q^* W_h Q``, or the value 0 of a direction outside the
+    span when ``p < m`` and that is smaller; the iterate is ``t = Q u``.  The
+    span is cut at rounding level (``numpy.linalg.matrix_rank``'s rule, a
+    literal, not a run option): a dropped direction carries forms of at most
+    about 1e-12 times the entry scale, three decades below the default
+    ``tols.structural``, so the cut narrows the search to what it could
+    resolve anyway.  The first ``h``-step of each start is read from the raw
+    table, so canonical starts catch diagonal violations exactly, and so is
+    the value of a descent that ends below the threshold: a witness is
+    decided, re-checked and reported with its value on the raw table.
     """
     thresh = tols.structural * k.entry_scale
     diagnostics: dict = {"restarts": 0, "non_converged": 0}
 
-    defect = hermitian_defect_kernel(k)
+    defect = k.hermitian_defect
     if defect > thresh:
         diagnostics["hermitian_defect"] = defect
         w = _nonhermitian_witness(k, thresh)
@@ -299,23 +338,37 @@ def weak_positivity(
         return PositivityVerdict(STATUS_POSITIVE, METHOD_BLOCK_PSD, None, min_eig, diagnostics)
 
     m = k.m
+    Q = _column_basis(k)
+    p = Q.shape[1]
+    kc = Kernel(k.space, pair_coords(k.table, Q, Q))  # M_kc(u) = M(Q u)
     best_val = np.inf
     best_pair = None
 
+    def t_step(h: np.ndarray):
+        # Every form vanishes on the complement of Q, where the value is 0.
+        lam, u = _min_eigpair(direction_form(kc, h))
+        if p < m and lam > 0:
+            return 0.0, np.zeros(p, dtype=complex)
+        return lam, u
+
     def descend(t0: np.ndarray):
         nonlocal best_val, best_pair
-        t = t0 / np.linalg.norm(t0)
+        form = quad_form(k, t0 / np.linalg.norm(t0))
         prev = np.inf
         converged = False
         for _ in range(max_iters):
-            val, h = _min_eigpair(quad_form(k, t))
+            val, h = _min_eigpair(form)
             if prev - val < 1e-12:
                 converged = True
                 break
-            prev, t = _min_eigpair(direction_form(k, h))
-        val = pair_value(k, t, h).real
-        if val < best_val:
-            best_val, best_pair = val, (t, h)
+            prev, u = t_step(h)
+            form = quad_form(kc, u)
+        # The form at the final (u, h): the stalled h-step's value, or the last t-step's.
+        val = val if converged else prev
+        if val < -thresh:  # a candidate witness is valued on the raw table
+            t = Q @ u
+            val, best_pair = pair_value(k, t, h).real, (t, h)
+        best_val = min(best_val, val)
         return converged
 
     def random_starts():

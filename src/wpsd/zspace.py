@@ -60,7 +60,18 @@ class Tolerances:
     ``build_kolmogorov``'s pivot cut                rank        no table: the largest column norm
     ``bound_constant``'s null cut (>= 1e-12)        structural  no table: the largest eigenvalue
     the CLI's pass/fail tests                       report      nothing: absolute
+    ``weak_positivity``'s column-span cut           (literal)   ``s_max * max(shape) * eps`` of the
+                                                                column matrix: rounding level
+    ``build_rk``'s injectivity cut                  (literal)   1e-10 times the larger of 1 and the
+                                                                top singular value of the functions
     ==============================================  ==========  ====================================
+
+    The two literals are not run options.  The column-span cut drops only
+    directions whose forms are rounding (about 1e-12 times the kernel's entry
+    scale, against a default ``structural`` of 1e-9), and every witness is
+    re-checked on the raw table, so the cut can narrow the search but cannot
+    make a verdict wrong.  A dependent realisation means the decomposition
+    was not minimal, whatever the run asks for.
     """
 
     structural: float = 1e-9
@@ -189,10 +200,8 @@ def validate_gram(G: Kernel) -> list[str]:
     entry scale.  Weak positivity of the full metric is deliberately left to
     the kernel verifier, which owns the search machinery.
     """
-    from .kernels import hermitian_defect_kernel  # kernels builds on this module
-
     out = []
-    sym = hermitian_defect_kernel(G)
+    sym = G.hermitian_defect
     if sym > G.space.tolerance * G.entry_scale:
         out.append(f"hermitian symmetry defect {sym:.3e}")
     for i in range(G.m):

@@ -315,6 +315,44 @@ def test_all_builds_each_artifact_once(tmp_path, monkeypatch):
     assert calls == {"lift_semigroup_map": 1, "is_invariant": 1, "build_kolmogorov": 1, "build_representation": 1}
 
 
+def test_all_reads_each_kernel_defect_once(tmp_path, monkeypatch):
+    # Validate, check-positivity and decompose all hold the Hermitian defect,
+    # and decompose and represent both report the linearisation defect.
+    from functools import cached_property
+
+    passes, calls = [], {}
+    compute = Kernel.__dict__["hermitian_defect"].func
+
+    def one_pass(k):
+        passes.append(id(k))
+        return compute(k)
+
+    counted = cached_property(one_pass)
+    counted.__set_name__(Kernel, "hermitian_defect")
+    monkeypatch.setattr(Kernel, "hermitian_defect", counted)
+    for name in ("verify_linearisation", "verify_reproducing"):
+
+        def call(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, call)
+    S = cyclic_group(3)
+    B = np.random.default_rng(2).standard_normal((2, 3, 2)) + 0j
+    prob = {
+        "space": {"kind": "hermitian", "dim": 2},
+        "semigroup": sz.semigroup_to_json(S),
+        "semigroup_map": sz.semigroup_map_to_json(gram_semigroup_map(S, left_regular_star_rep(S), B)),
+        "tasks": ["validate", "lift", "check-positivity", "decompose", "represent", "factorize"],
+    }
+    out = tmp_path / "r.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp", "--out", str(out)]) == 0
+    assert len(passes) == len(set(passes)) == 1
+    assert calls == {"verify_linearisation": 1}
+    tasks = json.loads(out.read_text())["tasks"]
+    assert tasks["represent"]["reproducing_defect"] == tasks["decompose"]["linearisation_defect"]
+
+
 def test_report_is_indented_json_and_payloads_are_built_once(tmp_path, monkeypatch):
     calls = {}
     for name in ("decomposition_to_json", "representation_to_json"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from wpsd import (
     Action,
     Kernel,
+    Tolerances,
     adjoint_kernel,
     block_matrix,
     cyclic_group,
@@ -24,7 +27,10 @@ from wpsd.kernels import (
     STATUS_NOT_POSITIVE,
     STATUS_POSITIVE,
     STATUS_UNDETERMINED,
+    _column_basis,
+    direction_form,
     pair_value,
+    quad_form,
     verify_witness,
 )
 
@@ -247,6 +253,138 @@ def test_weak_positivity_spawns_restart_seeds_lazily():
     v = weak_positivity(k, restarts=10**12)
     assert v.status == STATUS_NOT_POSITIVE
     assert v.diagnostics["restarts"] == 0
+
+
+def full_space_search(k, restarts=64, seed=0, max_iters=200):
+    """The descent run over all of ``C^m``, with an ``m x m`` t-step: ``(status, restarts, best)``.
+
+    A copy of the search that ``weak_positivity`` ran before it moved to the
+    span of the kernel's columns; callers pass kernels that are not block-PSD.
+    """
+    thresh = 1e-9 * k.entry_scale
+    m = k.m
+
+    def least(M):
+        w, v = np.linalg.eigh(0.5 * (M + M.conj().T))
+        return float(w[0]), v[:, 0]
+
+    def random_starts():
+        seeds = np.random.SeedSequence(seed)
+        for _ in range(restarts):
+            rng = np.random.default_rng(seeds.spawn(1)[0])
+            yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+    best, runs = np.inf, 0
+    for i, t0 in enumerate(itertools.chain(np.eye(m, dtype=complex), random_starts())):
+        t, prev = t0 / np.linalg.norm(t0), np.inf
+        for _ in range(max_iters):
+            val, h = least(quad_form(k, t))
+            if prev - val < 1e-12:
+                break
+            prev, t = least(direction_form(k, h))
+        best = min(best, pair_value(k, t, h).real)
+        runs += i >= m
+        if best < -thresh:
+            return STATUS_NOT_POSITIVE, runs, best
+    return STATUS_UNDETERMINED, runs, best
+
+
+def transposed_gram_kernel(m, d, rank, seed):
+    """``k(x, y) = (F(x)* F(y))^T``: weakly positive, and of column rank at most ``rank * d``."""
+    k = random_block_psd_kernel(m, d, rank, seed)
+    return Kernel(k.space, k.table.transpose(0, 1, 3, 2))
+
+
+def swap_plus_half():
+    """The swap kernel plus ``I/2`` on the diagonal: ``M(t) = t t* + |t|^2 I/2``, not block-PSD."""
+    return Kernel(hermitian_space(2), swap_kernel().table + 0.5 * np.eye(2)[:, :, None, None] * np.eye(2))
+
+
+def assert_same_search(k, restarts, seed, max_iters=200):
+    v = weak_positivity(k, restarts=restarts, seed=seed, max_iters=max_iters)
+    status, runs, best = full_space_search(k, restarts, seed, max_iters)
+    assert v.method != "block_psd_sufficient"
+    assert (v.status, v.diagnostics["restarts"]) == (status, runs)
+    assert v.best_found == pytest.approx(best, abs=1e-9 * k.entry_scale)
+    return v
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    planted=st.booleans(),
+    m=st.integers(4, 16),
+    d=st.integers(2, 3),
+    rank=st.integers(1, 2),
+    seed=st.integers(0, 2**31 - 1),
+    margin=st.floats(1e-3, 1.0),
+    max_iters=st.sampled_from([1, 200]),
+)
+def test_column_space_search_matches_the_full_space_search(planted, m, d, rank, seed, margin, max_iters):
+    if planted:
+        k = planted_violation_kernel(m, d, rank, seed, margin)[0]
+    else:
+        k = transposed_gram_kernel(m, d, rank, seed)
+    if strong_positivity(k)[1]:
+        return  # certified before any search
+    # One iteration ends every descent on a t-step, unconverged.
+    assert_same_search(k, restarts=6, seed=seed, max_iters=max_iters)
+
+
+def test_full_rank_indefinite_kernel_searches_all_of_c_m():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    k = Kernel(hermitian_space(2), (a + a.conj().T).reshape(6, 2, 6, 2).transpose(0, 2, 1, 3))
+    assert _column_basis(k).shape == (6, 6)
+    assert assert_same_search(k, restarts=8, seed=2).status == STATUS_NOT_POSITIVE
+    # Points scaled down to 1e-10 are far above rounding: all are kept.
+    w = 10.0 ** -np.linspace(0, 10, 6)
+    graded = Kernel(k.space, k.table * np.multiply.outer(w, w)[:, :, None, None])
+    assert _column_basis(graded).shape == (6, 6) == (6, np.linalg.matrix_rank(graded.table.reshape(6, -1)))
+    assert_same_search(graded, restarts=8, seed=2)
+    # Every form of swap + I/2 is at least I/2 on unit vectors, and no direction lies outside the span.
+    v = assert_same_search(swap_plus_half(), restarts=8, seed=2)
+    assert v.status == STATUS_UNDETERMINED and v.best_found == pytest.approx(0.5)
+
+
+def test_a_point_with_zero_row_and_column_starts_outside_the_column_span():
+    k, _, _ = planted_violation_kernel(6, 2, 2, seed=4, margin=0.5)
+    table = np.zeros((7, 7, 2, 2), dtype=complex)
+    table[1:, 1:] = k.table
+    k = Kernel(k.space, table)
+    Q = _column_basis(k)
+    assert Q.shape[1] < 7 and np.abs(Q[0]).max() <= 1e-15  # e_0 projects to u0 = 0
+    assert_same_search(k, restarts=8, seed=1)
+    # Every form of swap + I/2 is positive definite on the span, so only the
+    # zero point's direction reaches the least value, 0.
+    t = np.zeros((3, 3, 2, 2), dtype=complex)
+    t[1:, 1:] = swap_plus_half().table
+    v = assert_same_search(Kernel(hermitian_space(2), t), restarts=8, seed=1)
+    assert v.status == STATUS_UNDETERMINED and v.best_found == 0.0
+
+
+def test_planted_witness_is_a_unit_vector_valued_on_the_raw_table():
+    k, _, _ = planted_violation_kernel(24, 2, 3, seed=7, margin=0.5)
+    assert _column_basis(k).shape[1] < 24
+    v = weak_positivity(k, restarts=8, seed=3)
+    w = v.witness
+    assert v.status == STATUS_NOT_POSITIVE and w.t.shape == (24,)
+    assert np.linalg.norm(w.t) == pytest.approx(1.0, abs=1e-12)
+    assert w.value == v.best_found == pair_value(k, w.t, w.h).real
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+def test_column_space_search_is_scale_free(scale):
+    # pyproject.toml turns every RuntimeWarning (overflow, invalid value) into an error.
+    # The entry scale is 1 + the largest entry norm, so the tolerance goes down
+    # with 2**-600 tables; at the default they would pass the block-PSD test.
+    tols = Tolerances(structural=1e-9 * min(scale, 1.0))
+    for k in (planted_violation_kernel(10, 2, 2, seed=8, margin=0.5)[0], transposed_gram_kernel(10, 2, 2, seed=8)):
+        v = weak_positivity(k, restarts=6, seed=1)
+        scaled = Kernel(k.space, k.table * scale)
+        w = weak_positivity(scaled, restarts=6, seed=1, tols=tols)
+        assert (w.status, w.diagnostics["restarts"]) == (v.status, v.diagnostics["restarts"])
+        if w.witness is not None:
+            assert w.witness.value == pair_value(scaled, w.witness.t, w.witness.h).real < 0
 
 
 def test_sufficiency_ordering():
