@@ -373,7 +373,8 @@ def bound_constant(
     denominator, a valid domination constant whenever the kernel is
     invariant and weakly positive.  For scalar kernels the two coincide.
 
-    The ``m`` canonical starts and ``restarts`` random ones are a budget.
+    The ``m`` canonical starts and ``restarts`` random ones are a budget,
+    and each climb takes at most ``max_iters`` steps, which must be at least 1.
     The search stops early only when the bracket is provably closed: the
     denominator is PSD, the numerator vanishes on its null space (so no
     product-direction ratio exceeds ``upper**2``), and a re-verified witness
@@ -384,6 +385,8 @@ def bound_constant(
     """
     if not (0 <= alpha < S.size):
         raise SchemaError("element index out of range")
+    if max_iters < 1:
+        raise SchemaError(f"max_iters must be >= 1, got {max_iters}")
     act = A.table[alpha]
     k_a = Kernel(k.space, k.table[np.ix_(act, act)])
     tol, scale = tols.structural, k.entry_scale

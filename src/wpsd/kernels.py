@@ -18,6 +18,11 @@ points; any claimed negative witness is re-verified from the raw table.
 Each descent stops once its cheap ``d x d`` step no longer lowers the value,
 and the search stops at the first descent that finds a witness.
 
+The starts run in lockstep chunks of ``DESCENT_CHUNK``, each step one
+stacked ``eigh`` over the chunk.  The descents of a chunk do not depend on
+one another, so its results are read in start order and the search stops
+at the first witness: the verdict is that of running the starts one by one.
+
 Every form ``M(t)`` depends on ``t`` only through its part in the span of
 the kernel's columns, of dimension ``p <= m`` (the linearisation behind the
 Kolmogorov decomposition), and vanishes on the complement.  So the
@@ -52,6 +57,10 @@ METHOD_SCALAR = "scalar_exact"
 METHOD_BLOCK_PSD = "block_psd_sufficient"
 METHOD_WITNESS = "witness_found"
 METHOD_EXHAUSTED = "search_exhausted"
+
+#: Falsifier starts descended in lockstep, as stacked ``eigh`` calls; the
+#: verdict does not depend on it.
+DESCENT_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -153,17 +162,28 @@ def is_invariant(k: Kernel, S, A, tols: Tolerances = Tolerances()) -> list[tuple
     return out
 
 
+def _forms(table: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The forms ``M(t)`` of the rows of ``T`` (``s x n``) on an ``(n, n, d, d)`` table: ``(s, d, d)``."""
+    n, d = table.shape[0], table.shape[2]
+    left = (np.conj(T) @ table.reshape(n, n * d * d)).reshape(len(T), n, d * d)
+    return (T[:, None, :] @ left).reshape(len(T), d, d)
+
+
+def _direction_forms(table: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The forms ``W_h`` of the rows of ``H`` (``s x d``) on an ``(n, n, d, d)`` table: ``(s, n, n)``."""
+    n, d = table.shape[0], table.shape[2]
+    outer = (np.conj(H)[:, :, None] * H[:, None, :]).reshape(len(H), d * d)  # [s, (a, b)] = conj(h_a) h_b
+    return (outer @ table.reshape(n * n, d * d).T).reshape(len(H), n, n)
+
+
 def quad_form(k: Kernel, t) -> np.ndarray:
     """``M(t) = sum_kj conj(t_k) t_j k(x_k, x_j)`` as a ``d x d`` matrix."""
-    t = np.asarray(t, dtype=complex).reshape(-1, 1)
-    return pair_coords(k.table, t, t)[0, 0]
+    return _forms(k.table, np.asarray(t, dtype=complex).reshape(1, -1))[0]
 
 
 def direction_form(k: Kernel, h) -> np.ndarray:
     """``W_h[k, j] = <h, k(x_k, x_j) h>`` as an ``m x m`` matrix."""
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    m, d = k.m, k.d
-    return (k.table.reshape(m * m * d, d) @ h).reshape(m, m, d) @ np.conj(h)
+    return _direction_forms(k.table, np.asarray(h, dtype=complex).reshape(1, -1))[0]
 
 
 def pair_value(k: Kernel, t, h) -> complex:
@@ -205,9 +225,15 @@ def verify_witness(k: Kernel, w: Witness, threshold: float) -> bool:
     return abs(q.imag) > threshold
 
 
-def _min_eigpair(M: np.ndarray):
+def _least_eigpairs(M: np.ndarray):
+    """The least eigenvalue and a unit eigenvector of the Hermitian part of each matrix in a stack."""
     w, v = np.linalg.eigh(hermitian_part(M))
-    return float(w[0]), v[:, 0]
+    return w[:, 0], v[:, :, 0]
+
+
+def _min_eigpair(M: np.ndarray):
+    w, v = _least_eigpairs(M[None])
+    return float(w[0]), v[0]
 
 
 def _column_basis(k: Kernel) -> np.ndarray:
@@ -284,7 +310,8 @@ def weak_positivity(
     the search space is ``C^m x C^d``.  The descent is deterministic: the
     ``m`` canonical single-point starts run first, then the random ones,
     whose seeds are the children ``SeedSequence(seed).spawn(restarts)``
-    would give, drawn one at a time.
+    would give, drawn one at a time as the chunks need them.  ``max_iters``
+    must be at least 1.
 
     Each iteration of a descent first takes the least eigenpair ``(b, h)``
     of the ``d x d`` form ``M(t)``, and stops once ``b`` is within 1e-12 of
@@ -297,6 +324,15 @@ def weak_positivity(
     it.  ``diagnostics['restarts']`` counts the random starts run, and
     ``diagnostics['non_converged']`` those among them that used all
     ``max_iters`` iterations.
+
+    The starts run in lockstep, ``DESCENT_CHUNK`` at a time in start order,
+    each step one stacked ``eigh`` over the chunk's live descents; a descent
+    leaves the chunk when it stalls or its iterations run out.  Each descent
+    is independent of the others in its chunk, so once the chunk is done its
+    results are read in start order, candidates are valued on the raw table,
+    and the search stops at the first witness; the descents after it in the
+    chunk are discarded.  So the verdict, ``restarts`` and ``non_converged``
+    are those of running the starts one by one, whatever the chunk size.
 
     The ``t``-step runs in the span of the kernel's columns: with ``Q`` an
     orthonormal basis of it (``m x p``), it is the least eigenpair of the
@@ -311,6 +347,8 @@ def weak_positivity(
     the value of a descent that ends below the threshold: a witness is
     decided, re-checked and reported with its value on the raw table.
     """
+    if max_iters < 1:
+        raise SchemaError(f"max_iters must be >= 1, got {max_iters}")
     thresh = tols.structural * k.entry_scale
     diagnostics: dict = {"restarts": 0, "non_converged": 0}
 
@@ -337,63 +375,74 @@ def weak_positivity(
     if psd:
         return PositivityVerdict(STATUS_POSITIVE, METHOD_BLOCK_PSD, None, min_eig, diagnostics)
 
-    m = k.m
     Q = _column_basis(k)
-    p = Q.shape[1]
-    kc = Kernel(k.space, pair_coords(k.table, Q, Q))  # M_kc(u) = M(Q u)
+    kc = pair_coords(k.table, Q, Q)  # M_kc(u) = M(Q u)
     best_val = np.inf
-    best_pair = None
-
-    def t_step(h: np.ndarray):
-        # Every form vanishes on the complement of Q, where the value is 0.
-        lam, u = _min_eigpair(direction_form(kc, h))
-        if p < m and lam > 0:
-            return 0.0, np.zeros(p, dtype=complex)
-        return lam, u
-
-    def descend(t0: np.ndarray):
-        nonlocal best_val, best_pair
-        form = quad_form(k, t0 / np.linalg.norm(t0))
-        prev = np.inf
-        converged = False
-        for _ in range(max_iters):
-            val, h = _min_eigpair(form)
-            if prev - val < 1e-12:
-                converged = True
-                break
-            prev, u = t_step(h)
-            form = quad_form(kc, u)
-        # The form at the final (u, h): the stalled h-step's value, or the last t-step's.
-        val = val if converged else prev
-        if val < -thresh:  # a candidate witness is valued on the raw table
-            t = Q @ u
-            val, best_pair = pair_value(k, t, h).real, (t, h)
-        best_val = min(best_val, val)
-        return converged
-
-    def random_starts():
-        seeds = np.random.SeedSequence(seed)
-        for _ in range(restarts):
-            rng = np.random.default_rng(seeds.spawn(1)[0])
-            yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
-
-    # Canonical single-point starts catch diagonal violations exactly.
-    starts = itertools.chain(np.eye(m, dtype=complex), random_starts())
-    for i, t0 in enumerate(starts):
-        converged = descend(t0)
-        if i >= m:
-            diagnostics["restarts"] += 1
-            diagnostics["non_converged"] += not converged
-        if best_val < -thresh:
+    wit = None
+    starts = itertools.chain(np.eye(k.m, dtype=complex), _random_starts(k.m, restarts, seed))
+    first = 0  # the index of the chunk's first start among all starts
+    while wit is None:
+        T = np.array(list(itertools.islice(starts, DESCENT_CHUNK)))
+        if not len(T):
             break
+        val, converged, U, H = _descend(k.table, kc, T, max_iters)
+        stop = len(T)
+        for i in np.flatnonzero(val < -thresh):  # a candidate is valued on the raw table
+            t = Q @ U[i]
+            val[i] = pair_value(k, t, H[i]).real
+            if val[i] < -thresh:
+                stop, wit = i + 1, Witness(t, H[i], float(val[i]), "negative")
+                break
+        is_random = np.arange(first, first + stop) >= k.m
+        diagnostics["restarts"] += int(np.count_nonzero(is_random))
+        diagnostics["non_converged"] += int(np.count_nonzero(is_random & ~converged[:stop]))
+        best_val = min(best_val, float(val[:stop].min()))
+        first += stop
 
-    if best_val < -thresh:
-        t, h = best_pair
-        wit = Witness(t, h, float(best_val), "negative")
+    if wit is not None:
         if not verify_witness(k, wit, thresh / 2):
             raise AssertionError("falsifier witness failed re-verification")
-        return PositivityVerdict(STATUS_NOT_POSITIVE, METHOD_WITNESS, wit, float(best_val), diagnostics)
-    return PositivityVerdict(STATUS_UNDETERMINED, METHOD_EXHAUSTED, None, float(best_val), diagnostics)
+        return PositivityVerdict(STATUS_NOT_POSITIVE, METHOD_WITNESS, wit, best_val, diagnostics)
+    return PositivityVerdict(STATUS_UNDETERMINED, METHOD_EXHAUSTED, None, best_val, diagnostics)
+
+
+def _random_starts(m: int, restarts: int, seed: int):
+    """The random starts, each from the next child of ``SeedSequence(seed)``, drawn on demand."""
+    seeds = np.random.SeedSequence(seed)
+    for _ in range(restarts):
+        rng = np.random.default_rng(seeds.spawn(1)[0])
+        yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def _descend(table, kc, T, max_iters: int):
+    """Descents from the rows of ``T``, run in lockstep; see ``weak_positivity``.
+
+    Returns, per start, the final value (on the compressed table ``kc``),
+    whether it stalled within ``max_iters`` iterations, and the final
+    ``(u, h)``.
+    """
+    s, m, p = len(T), table.shape[0], kc.shape[0]
+    val = np.full(s, np.inf)  # each start's latest value: its last h-step's or t-step's
+    converged = np.zeros(s, dtype=bool)
+    U = np.zeros((s, p), dtype=complex)
+    H = np.zeros((s, table.shape[2]), dtype=complex)
+    live = np.arange(s)
+    forms = _forms(table, T / np.linalg.norm(T, axis=1, keepdims=True))
+    for _ in range(max_iters):
+        b, H[live] = _least_eigpairs(forms)
+        stalled = val[live] - b < 1e-12
+        val[live] = b
+        converged[live[stalled]] = True
+        live = live[~stalled]
+        if not live.size:
+            break
+        lam, u = _least_eigpairs(_direction_forms(kc, H[live]))
+        if p < m:  # every form vanishes on the complement of Q, where the value is 0
+            outside = lam > 0
+            lam[outside], u[outside] = 0.0, 0.0
+        val[live], U[live] = lam, u
+        forms = _forms(kc, U[live])
+    return val, converged, U, H
 
 
 def twopos_diagnostics(k: Kernel, tols: Tolerances = Tolerances()):

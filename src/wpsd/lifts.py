@@ -30,7 +30,15 @@ from .errors import (
 )
 from .dilation import linearised_kernel
 from .kernels import Kernel
-from .zspace import Tolerances, ZSpaceDescriptor, entry_scale, hermitian_space, pair_coords, scalar_space
+from .zspace import (
+    Tolerances,
+    ZSpaceDescriptor,
+    entry_scale,
+    entry_scales,
+    hermitian_space,
+    pair_coords,
+    scalar_space,
+)
 
 
 @dataclass(frozen=True)
@@ -135,24 +143,36 @@ def _basis_pairings(H: VEModuleH, T: np.ndarray) -> np.ndarray:
     return paired.reshape(*T.shape, dz, dz)
 
 
+def _adjoint_solves(H: VEModuleH, T: np.ndarray):
+    """Least-squares adjoints of a stack of coefficient matrices ``(P, dim, dim)``, in one solve.
+
+    The systems ``[T b_i, b_j] = [b_i, T* b_j]`` share their matrix, so their
+    right-hand sides are stacked side by side.  Returns the adjoints, each
+    system's largest residual and the entry scale of its pairings.
+    """
+    P, dim, dz = T.shape[0], H.dim, H.zspace.dim
+    lhs = _basis_pairings(H, T)  # (P, i, j, c, d)
+    A_sys = H.gram_tensor().transpose(0, 2, 3, 1).reshape(dim * dz * dz, dim)
+    rhs = lhs.transpose(1, 3, 4, 0, 2).reshape(dim * dz * dz, P * dim)  # [(i, c, d), (P, j)]
+    sol, *_ = np.linalg.lstsq(A_sys, rhs, rcond=None)
+    resid = np.max(np.abs(A_sys @ sol - rhs).reshape(-1, P, dim), axis=(0, 2))
+    adjoints = sol.reshape(dim, P, dim).transpose(1, 0, 2)
+    return adjoints, resid, entry_scales(lhs.reshape(P, dim * dim, dz, dz))
+
+
 def adjoint_solve(H: VEModuleH, T: OperatorOnH, tols: Tolerances = Tolerances()) -> OperatorOnH:
     """Solve ``[T b_i, b_j] = [b_i, T* b_j]`` for the adjoint.
 
     On a plain Hilbert module this is the conjugate transpose; on a matrix
     module the gramian is degenerate enough that the linear system may be
     inconsistent, in which case ``NotAdjointableError`` is raised (not every
-    operator is adjointable) when the residual exceeds ``tols.structural``.
+    operator is adjointable) when the residual exceeds ``tols.structural``
+    times the entry scale of the pairings ``[T b_i, b_j]``.
     """
-    dim, dz = H.dim, H.zspace.dim
-    G = H.gram_tensor()
-    lhs = _basis_pairings(H, T.matrix)  # (i, j, c, d)
-    A_sys = G.transpose(0, 2, 3, 1).reshape(dim * dz * dz, dim)
-    rhs = lhs.transpose(0, 2, 3, 1).reshape(dim * dz * dz, dim)
-    sol, *_ = np.linalg.lstsq(A_sys, rhs, rcond=None)
-    resid = float(np.max(np.abs(A_sys @ sol - rhs)))
-    if resid > tols.structural * entry_scale(lhs):
-        raise NotAdjointableError(f"adjoint system inconsistent, residual {resid:.3e}")
-    return OperatorOnH(T.matrix, sol)
+    adjoints, resid, scale = _adjoint_solves(H, T.matrix[None])
+    if resid[0] > tols.structural * scale[0]:
+        raise NotAdjointableError(f"adjoint system inconsistent, residual {resid[0]:.3e}")
+    return OperatorOnH(T.matrix, adjoints[0])
 
 
 @dataclass(frozen=True)
@@ -176,8 +196,10 @@ def lift_operator_kernel(
     lifted entry at ``((x, i), (y, j))`` is ``[l(y, x) b_i, b_j]``.  Since
     the lifted point depends linearly on the module argument, restricting to
     a basis loses nothing.  Every operator must be adjointable with
-    ``l(x, y)* = l(y, x)`` to ``tols.structural``; an action on the points
-    lifts to act on pairs by leaving the basis index alone.
+    ``l(x, y)* = l(y, x)`` to ``tols.structural``; the adjoints of all pairs
+    ``x <= y`` come from one least-squares solve, and the first pair in
+    row-major order that fails either check is reported.  An action on the
+    points lifts to act on pairs by leaving the basis index alone.
     """
     l = np.asarray(l, dtype=complex)
     m = l.shape[0]
@@ -187,14 +209,18 @@ def lift_operator_kernel(
         return LiftedKernel(Kernel(H.zspace, np.zeros((0, 0, dz, dz), dtype=complex)), (), action)
     if l.shape != (m, m, dim, dim):
         raise SchemaError(f"operator table must have shape (m, m, {dim}, {dim}), got {l.shape}")
-    tol = tols.structural * entry_scale(l)
-    for x in range(m):
-        for y in range(x, m):
-            adj = adjoint_solve(H, OperatorOnH(l[x, y]), tols).adjoint
-            if float(np.max(np.abs(adj - l[y, x]))) > tol:
-                raise HermitianMismatchError(
-                    f"l({x},{y})* differs from l({y},{x}) beyond tolerance"
-                )
+    # All pairs x <= y, in row-major order: the first to fail is reported.
+    xs, ys = np.triu_indices(m)
+    adjoints, resid, scale = _adjoint_solves(H, l[xs, ys])
+    inconsistent = resid > tols.structural * scale
+    mismatch = np.max(np.abs(adjoints - l[ys, xs]), axis=(1, 2)) > tols.structural * entry_scale(l)
+    if np.any(inconsistent | mismatch):
+        i = int(np.argmax(inconsistent | mismatch))
+        if inconsistent[i]:
+            raise NotAdjointableError(
+                f"adjoint system of l({xs[i]},{ys[i]}) inconsistent, residual {resid[i]:.3e}"
+            )
+        raise HermitianMismatchError(f"l({xs[i]},{ys[i]})* differs from l({ys[i]},{xs[i]}) beyond tolerance")
     table = _basis_pairings(H, l).transpose(1, 2, 0, 3, 4, 5).reshape(m * dim, m * dim, dz, dz)
     legend = tuple((x, i) for x in range(m) for i in range(dim))
     lifted_action = None

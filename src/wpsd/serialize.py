@@ -10,7 +10,7 @@ from .algebra import Action, StarSemigroup
 from .errors import SchemaError
 from .kernels import Kernel, PositivityVerdict, Witness
 from .lifts import LiftedKernel, SemigroupMapT, VEModuleH, hilbert_module, matrix_module
-from .zspace import Tolerances, ZSpaceDescriptor
+from .zspace import ZSpaceDescriptor
 
 
 def _pairs(a) -> np.ndarray:
@@ -77,18 +77,15 @@ def _table_size(v, name: str) -> int:
 
 
 def space_to_json(space: ZSpaceDescriptor) -> dict:
-    return {"kind": space.kind, "dim": space.dim, "tolerance": space.tolerance}
+    return {"kind": space.kind, "dim": space.dim}
 
 
 def space_from_json(obj) -> ZSpaceDescriptor:
     if not isinstance(obj, dict):
         raise SchemaError("space must be an object")
-    tol = obj.get("tolerance", Tolerances.structural)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not np.isfinite(tol):
-        raise SchemaError(f"space tolerance must be a finite number, got {tol!r}")
-    return ZSpaceDescriptor(
-        obj.get("kind", "scalar"), int_from_json(obj.get("dim", 1), "space dim"), float(tol)
-    )
+    if "tolerance" in obj:
+        raise SchemaError("space.tolerance is not read; set options.tolerances.structural instead")
+    return ZSpaceDescriptor(obj.get("kind", "scalar"), int_from_json(obj.get("dim", 1), "space dim"))
 
 
 def kernel_to_json(k: Kernel) -> dict:

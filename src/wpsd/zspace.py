@@ -51,8 +51,10 @@ class Tolerances:
     ``weak_positivity``, ``bound_constant``,
     ``build_kolmogorov``, ``build_representation``
     (invariance), ``linearity_preservation_check``
-    ``lift_operator_kernel``                        structural  the operator table
-    ``adjoint_solve``                               structural  the pairings ``[T b_i, b_j]``
+    ``lift_operator_kernel`` (Hermitian match)      structural  the operator table
+    ``adjoint_solve``, the lift's adjoints          structural  each operator's ``[T b_i, b_j]``
+    ``in_cone``, ``leq``                            structural  the element tested
+    ``validate_gram``                               structural  the gram; each diagonal block's own
     ``gram_semigroup_map``                          structural  the representation
     ``build_representation`` (push-forward)         rank        the kernel, times the probe's norm
     ``rk_representation``                           rank        the reconstructed kernel
@@ -85,21 +87,28 @@ class Tolerances:
 
 
 def entry_scale(table) -> float:
-    """1 + the largest operator norm among the square entries of ``table``, shape ``(..., d, d)``.
+    """1 + the largest operator norm among the square entries of ``table``, shape ``(..., d, d)``."""
+    d = np.shape(table)[-1]
+    return float(entry_scales(np.reshape(table, (1, -1, d, d)))[0])
 
-    Only entries whose Frobenius norm is within ``sqrt(d)`` of the largest
-    can hold the largest operator norm (``|A|_F / sqrt(d) <= |A|_2 <=
-    |A|_F``), so only those are decomposed.  The norms are taken on the
+
+def entry_scales(tables) -> np.ndarray:
+    """:func:`entry_scale` of each table in a stack of shape ``(P, n, d, d)``.
+
+    Only entries whose Frobenius norm is within ``sqrt(d)`` of their table's
+    largest can hold its largest operator norm (``|A|_F / sqrt(d) <= |A|_2
+    <= |A|_F``), so only those are decomposed.  The norms are taken on each
     table scaled by a power of two: exact, and safe from overflow.
     """
-    d = np.shape(table)[-1]
-    t = np.asarray(table, dtype=complex).reshape(-1, d, d)
-    if t.shape[0] == 0:
-        return 1.0
-    exponent = int(np.frexp(np.max(np.abs(t)))[1])
-    fro = np.linalg.norm(t * 2.0 ** min(-exponent, 1000), axis=(1, 2))
-    near = t[fro >= fro.max() / np.sqrt(d) * (1.0 - 1e-12)]
-    return 1.0 + float(np.linalg.svd(near, compute_uv=False).max())
+    t = np.asarray(tables, dtype=complex)
+    if t.shape[1] == 0:
+        return np.ones(t.shape[0])
+    exponent = np.frexp(np.max(np.abs(t), axis=(1, 2, 3)))[1]
+    fro = np.linalg.norm(t * 2.0 ** np.minimum(-exponent, 1000)[:, None, None, None], axis=(2, 3))
+    near = fro >= fro.max(axis=1, keepdims=True) / np.sqrt(t.shape[-1]) * (1.0 - 1e-12)
+    top = np.zeros(near.shape)
+    top[near] = np.linalg.svd(t[near], compute_uv=False)[:, 0]
+    return 1.0 + top.max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -108,13 +117,10 @@ class ZSpaceDescriptor:
 
     ``kind`` is ``"scalar"`` (complex numbers, cone = nonnegative reals) or
     ``"hermitian"`` (``dim x dim`` matrices, cone = positive semidefinite).
-    ``tolerance`` is the relative cone-membership slack; the effective slack
-    for an element ``z`` is ``tolerance * entry_scale(z)``.
     """
 
     kind: str = "scalar"
     dim: int = 1
-    tolerance: float = Tolerances.structural
 
     def __post_init__(self):
         if self.kind not in ("scalar", "hermitian"):
@@ -123,16 +129,14 @@ class ZSpaceDescriptor:
             raise SchemaError("space dimension must be >= 1")
         if self.kind == "scalar" and self.dim != 1:
             raise SchemaError("scalar space has dim 1")
-        if self.tolerance < 0:
-            raise SchemaError("tolerance must be nonnegative")
 
 
-def scalar_space(tolerance: float = Tolerances.structural) -> ZSpaceDescriptor:
-    return ZSpaceDescriptor("scalar", 1, tolerance)
+def scalar_space() -> ZSpaceDescriptor:
+    return ZSpaceDescriptor("scalar", 1)
 
 
-def hermitian_space(dim: int, tolerance: float = Tolerances.structural) -> ZSpaceDescriptor:
-    return ZSpaceDescriptor("hermitian", dim, tolerance)
+def hermitian_space(dim: int) -> ZSpaceDescriptor:
+    return ZSpaceDescriptor("hermitian", dim)
 
 
 def as_zelement(value, space: ZSpaceDescriptor) -> np.ndarray:
@@ -173,39 +177,40 @@ def seminorm(z: np.ndarray, tag: str = "operator") -> float:
     return float(s.max()) if tag == "operator" else float(s.sum())
 
 
-def in_cone(z, space: ZSpaceDescriptor) -> bool:
-    """Membership in the positive cone, up to the scale-aware slack.
+def in_cone(z, space: ZSpaceDescriptor, tols: Tolerances = Tolerances()) -> bool:
+    """Membership in the positive cone, up to ``tols.structural`` times the entry scale of ``z``.
 
-    True iff the Hermitian defect is within slack and the minimal eigenvalue
-    of the Hermitian part is above minus the slack.
+    True iff the Hermitian defect is within that slack and the minimal
+    eigenvalue of the Hermitian part is above minus the slack.
     """
     z = as_zelement(z, space)
-    tol = space.tolerance * entry_scale(z)
+    tol = tols.structural * entry_scale(z)
     if hermitian_defect(z) > tol:
         return False
     return float(np.linalg.eigvalsh(hermitian_part(z)).min()) >= -tol
 
 
-def leq(a, b, space: ZSpaceDescriptor) -> bool:
-    """Partial order induced by the cone: ``a <= b`` iff ``b - a`` is positive."""
+def leq(a, b, space: ZSpaceDescriptor, tols: Tolerances = Tolerances()) -> bool:
+    """Partial order induced by the cone: ``a <= b`` iff ``b - a`` is positive (see ``in_cone``)."""
     a = as_zelement(a, space)
     b = as_zelement(b, space)
-    return in_cone(b - a, space)
+    return in_cone(b - a, space, tols)
 
 
-def validate_gram(G: Kernel) -> list[str]:
+def validate_gram(G: Kernel, tols: Tolerances = Tolerances()) -> list[str]:
     """Structural gram invariants: block symmetry and diagonal positivity.
 
-    The symmetry defect is held to the space's tolerance times the gram's
-    entry scale.  Weak positivity of the full metric is deliberately left to
-    the kernel verifier, which owns the search machinery.
+    The symmetry defect is held to ``tols.structural`` times the gram's entry
+    scale, and each diagonal block to ``in_cone``.  Weak positivity of the
+    full metric is deliberately left to the kernel verifier, which owns the
+    search machinery.
     """
     out = []
     sym = G.hermitian_defect
-    if sym > G.space.tolerance * G.entry_scale:
+    if sym > tols.structural * G.entry_scale:
         out.append(f"hermitian symmetry defect {sym:.3e}")
     for i in range(G.m):
-        if not in_cone(G.table[i, i], G.space):
+        if not in_cone(G.table[i, i], G.space, tols):
             out.append(f"diagonal block {i} outside the positive cone")
     return out
 

@@ -20,6 +20,7 @@ from wpsd import (
     gns_instance,
     gram_semigroup_map,
     hermitian_space,
+    left_multiplication,
     left_regular_star_rep,
     matrix_module,
     random_block_psd_kernel,
@@ -284,6 +285,28 @@ def test_malformed_input_exits_3_without_report(tmp_path, tasks, mutate):
     out = tmp_path / "report.json"
     assert main(["all", path, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_a_space_tolerance_is_refused_in_favour_of_the_run_options(tmp_path, capsys):
+    prob = circulant_problem(["validate"])
+    prob["space"]["tolerance"] = 1e-6
+    out = tmp_path / "report.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--out", str(out)]) == 3
+    assert "options.tolerances.structural" in capsys.readouterr().err and not out.exists()
+
+
+def test_a_non_adjointable_operator_exits_3_without_report(tmp_path, capsys):
+    H = matrix_module(2, 2)
+    l = np.array([[np.eye(4), np.eye(4)], [np.eye(4), np.eye(4)]], dtype=complex)
+    l[0, 1] = left_multiplication(H, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    prob = {
+        "space": {"kind": "hermitian", "dim": 2},
+        "operator_kernel": {"module": {"kind": "matrix_module", "d": 2, "kcols": 2}, "table": sz.carray_to_json(l)},
+        "tasks": ["lift", "check-positivity"],
+    }
+    out = tmp_path / "report.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--out", str(out)]) == 3
+    assert "l(0,1) inconsistent" in capsys.readouterr().err and not out.exists()
 
 
 def test_all_builds_each_artifact_once(tmp_path, monkeypatch):

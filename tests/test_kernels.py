@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from wpsd import (
     Action,
     Kernel,
+    SchemaError,
     Tolerances,
     adjoint_kernel,
     block_matrix,
+    bound_constant,
     cyclic_group,
+    gns_instance,
     hermitian_space,
     idempotent_pair,
     is_hermitian,
@@ -23,7 +26,9 @@ from wpsd import (
     twopos_diagnostics,
     weak_positivity,
 )
+import wpsd.kernels as kernels_module
 from wpsd.kernels import (
+    DESCENT_CHUNK,
     STATUS_NOT_POSITIVE,
     STATUS_POSITIVE,
     STATUS_UNDETERMINED,
@@ -256,10 +261,11 @@ def test_weak_positivity_spawns_restart_seeds_lazily():
 
 
 def full_space_search(k, restarts=64, seed=0, max_iters=200):
-    """The descent run over all of ``C^m``, with an ``m x m`` t-step: ``(status, restarts, best)``.
+    """The descent run over all of ``C^m``, with an ``m x m`` t-step, one start at a time.
 
-    A copy of the search that ``weak_positivity`` ran before it moved to the
-    span of the kernel's columns; callers pass kernels that are not block-PSD.
+    Returns ``(status, restarts, non_converged, best)``.  A copy of the search
+    that ``weak_positivity`` ran before it moved to the span of the kernel's
+    columns and to lockstep chunks; callers pass kernels that are not block-PSD.
     """
     thresh = 1e-9 * k.entry_scale
     m = k.m
@@ -274,19 +280,21 @@ def full_space_search(k, restarts=64, seed=0, max_iters=200):
             rng = np.random.default_rng(seeds.spawn(1)[0])
             yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
-    best, runs = np.inf, 0
+    best, runs, non_converged = np.inf, 0, 0
     for i, t0 in enumerate(itertools.chain(np.eye(m, dtype=complex), random_starts())):
-        t, prev = t0 / np.linalg.norm(t0), np.inf
+        t, prev, converged = t0 / np.linalg.norm(t0), np.inf, False
         for _ in range(max_iters):
             val, h = least(quad_form(k, t))
             if prev - val < 1e-12:
+                converged = True
                 break
             prev, t = least(direction_form(k, h))
         best = min(best, pair_value(k, t, h).real)
         runs += i >= m
+        non_converged += i >= m and not converged
         if best < -thresh:
-            return STATUS_NOT_POSITIVE, runs, best
-    return STATUS_UNDETERMINED, runs, best
+            return STATUS_NOT_POSITIVE, runs, non_converged, best
+    return STATUS_UNDETERMINED, runs, non_converged, best
 
 
 def transposed_gram_kernel(m, d, rank, seed):
@@ -302,9 +310,9 @@ def swap_plus_half():
 
 def assert_same_search(k, restarts, seed, max_iters=200):
     v = weak_positivity(k, restarts=restarts, seed=seed, max_iters=max_iters)
-    status, runs, best = full_space_search(k, restarts, seed, max_iters)
+    status, runs, non_converged, best = full_space_search(k, restarts, seed, max_iters)
     assert v.method != "block_psd_sufficient"
-    assert (v.status, v.diagnostics["restarts"]) == (status, runs)
+    assert (v.status, v.diagnostics["restarts"], v.diagnostics["non_converged"]) == (status, runs, non_converged)
     assert v.best_found == pytest.approx(best, abs=1e-9 * k.entry_scale)
     return v
 
@@ -360,6 +368,73 @@ def test_a_point_with_zero_row_and_column_starts_outside_the_column_span():
     t[1:, 1:] = swap_plus_half().table
     v = assert_same_search(Kernel(hermitian_space(2), t), restarts=8, seed=1)
     assert v.status == STATUS_UNDETERMINED and v.best_found == 0.0
+
+
+@pytest.mark.parametrize("m", [5, DESCENT_CHUNK])
+@pytest.mark.parametrize(
+    "restarts", [0, 1, DESCENT_CHUNK - 1, DESCENT_CHUNK, DESCENT_CHUNK + 1, 2 * DESCENT_CHUNK + 1]
+)
+def test_lockstep_chunks_run_every_start_at_each_chunk_boundary(m, restarts):
+    # Undetermined kernels run the whole budget; at m = DESCENT_CHUNK the
+    # canonical starts fill one chunk and the random ones start the next.
+    k = transposed_gram_kernel(m, 2, 2, seed=m)
+    v = assert_same_search(k, restarts=restarts, seed=3)
+    assert v.status == STATUS_UNDETERMINED and v.diagnostics["restarts"] == restarts
+
+
+def hidden_violation_kernel(m, spread, seed):
+    """``k(x, y) = a(x, y) E_11 + b(x, y) E_22``, with ``a`` diagonal in ``[0.1, 0.2]`` and ``b`` indefinite.
+
+    ``b`` has unit diagonal, so every canonical start settles on ``E_11``
+    with a positive value; only a random ``t`` with ``<t, b t> < <t, a t>``
+    turns to ``E_22`` and finds the negative eigenvector of ``b``.
+    """
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    table = np.zeros((m, m, 2, 2), dtype=complex)
+    table[:, :, 0, 0] = np.diag(np.linspace(0.1, 0.2, m))
+    table[:, :, 1, 1] = np.eye(m) + spread * (r + r.conj().T - 2 * np.diag(r.diagonal().real))
+    return Kernel(hermitian_space(2), table)
+
+
+def test_a_witness_from_a_random_start_mid_chunk_ends_the_search_there():
+    k = hidden_violation_kernel(6, 0.3, seed=2)
+    v = assert_same_search(k, restarts=64, seed=2)
+    # Start 6 + 36 - 1 = 41 is the tenth of the third chunk of 16.
+    assert v.status == STATUS_NOT_POSITIVE and v.diagnostics["restarts"] == 36
+    assert (k.m + 36 - 1) % DESCENT_CHUNK == 9
+    assert verify_witness(k, v.witness, 1e-9 * k.entry_scale / 2)
+
+
+def same_verdict(v, w):
+    assert (v.status, v.method, v.diagnostics) == (w.status, w.method, w.diagnostics)
+    assert v.best_found == pytest.approx(w.best_found, abs=1e-12)
+    if v.witness is not None:
+        assert v.witness.value == pytest.approx(w.witness.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_the_verdict_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    kernels = [
+        hidden_violation_kernel(6, 0.3, seed=2),
+        planted_violation_kernel(12, 2, 2, seed=5, margin=0.1)[0],
+        transposed_gram_kernel(7, 3, 1, seed=4),
+    ]
+    verdicts = [weak_positivity(k, restarts=40, seed=2) for k in kernels]
+    monkeypatch.setattr(kernels_module, "DESCENT_CHUNK", chunk)
+    for k, v in zip(kernels, verdicts):
+        same_verdict(weak_positivity(k, restarts=40, seed=2), v)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+@pytest.mark.parametrize("search", ["weak_positivity", "bound_constant"])
+def test_a_search_without_iterations_is_a_schema_error(search, max_iters):
+    with pytest.raises(SchemaError, match="max_iters"):
+        if search == "weak_positivity":
+            weak_positivity(swap_kernel(), max_iters=max_iters)
+        else:
+            inst = gns_instance(cyclic_group(3), [1.0, 0.5, 0.5])
+            bound_constant(inst.kernel, cyclic_group(3), inst.action, 1, max_iters=max_iters)
 
 
 def test_planted_witness_is_a_unit_vector_valued_on_the_raw_table():

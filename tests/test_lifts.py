@@ -139,6 +139,48 @@ def test_lift_hermitian_mismatch_rejected():
         lift_operator_kernel(H, l)
 
 
+def hermitian_operator_table(m, r, seed):
+    rng = np.random.default_rng(seed)
+    l = rng.standard_normal((m, m, r, r)) + 1j * rng.standard_normal((m, m, r, r))
+    return 0.5 * (l + l.conj().transpose(1, 0, 3, 2))
+
+
+def test_lift_names_the_first_mismatched_pair_in_row_major_order():
+    # Pairs are checked in the order (0, 0), (0, 1), (0, 2), (1, 1), ...: the
+    # small defect at (0, 2) is reported, not the larger one at (1, 1).
+    l = hermitian_operator_table(3, 2, seed=6)
+    l[2, 0, 0, 1] += 1e-3
+    l[1, 1, 1, 0] += 0.5
+    with pytest.raises(HermitianMismatchError, match=r"l\(0,2\)\* differs from l\(2,0\)"):
+        lift_operator_kernel(hilbert_module(2), l)
+
+
+def test_lift_reports_the_first_failing_pair_whichever_check_fails():
+    H = matrix_module(2, 2)
+    nilpotent = left_multiplication(H, np.array([[0.0, 1.0], [0.0, 0.0]]))  # not adjointable
+    l = np.array([[np.eye(4), np.eye(4)], [np.eye(4), np.eye(4)]], dtype=complex)
+    l[1, 1] = nilpotent
+    with pytest.raises(NotAdjointableError, match=r"l\(1,1\)"):
+        lift_operator_kernel(H, l)
+    l[1, 0] = 2 * np.eye(4)  # (0, 1) is adjointable and comes first
+    with pytest.raises(HermitianMismatchError, match=r"l\(0,1\)"):
+        lift_operator_kernel(H, l)
+    l[0, 1] = nilpotent
+    with pytest.raises(NotAdjointableError, match=r"l\(0,1\)"):
+        lift_operator_kernel(H, l)
+
+
+def test_one_stacked_solve_gives_each_operator_its_own_adjoint():
+    H = matrix_module(2, 3)
+    rng = np.random.default_rng(8)
+    Ms = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    l = np.array([[right_multiplication(H, Ms[x].conj().T @ Ms[y]) for y in range(4)] for x in range(4)])
+    lifted = lift_operator_kernel(H, l)
+    for x, y in [(0, 0), (0, 3), (2, 1)]:
+        np.testing.assert_allclose(adjoint_solve(H, OperatorOnH(l[x, y])).adjoint, l[y, x], atol=1e-12)
+    assert is_hermitian(lifted.kernel)
+
+
 def test_lift_matrix_module_right_multiplications():
     H = matrix_module(2, 1)
     M0, M1 = np.array([[2.0]]), np.array([[0.5]])

@@ -78,7 +78,7 @@ def test_seminorms_are_increasing():
 def test_cone_strictness():
     z = 1e-12 * np.eye(2)
     assert in_cone(z, HERM2) and in_cone(-z, HERM2)
-    assert seminorm(z) <= 2.0 * HERM2.tolerance * (1.0 + seminorm(z))
+    assert seminorm(z) <= 2.0 * Tolerances().structural * (1.0 + seminorm(z))
     # a clearly nonzero element cannot sit in both cones
     w = np.eye(2)
     assert not (in_cone(w, HERM2) and in_cone(-w, HERM2))
@@ -190,6 +190,17 @@ def test_validate_gram():
     bad2 = np.array(G.table)
     bad2[0, 1] += 1.0
     assert any("symmetry" in v for v in validate_gram(Kernel(HERM2, bad2)))
+
+
+def test_cone_checks_follow_the_structural_tolerance():
+    # -5e-9 I is outside the cone at the default structural 1e-9 (entry scale
+    # 1 + 5e-9) and inside it at 1e-8; the space itself holds no tolerance.
+    z, loose = -5e-9 * np.eye(2), Tolerances(structural=1e-8)
+    assert not in_cone(z, HERM2) and in_cone(z, HERM2, loose)
+    assert not leq(np.zeros((2, 2)), z, HERM2) and leq(np.zeros((2, 2)), z, HERM2, loose)
+    G = Kernel(HERM2, np.array([[np.eye(2), 5e-9 * np.eye(2)], [np.zeros((2, 2)), z]]))
+    assert len(validate_gram(G)) == 2 and validate_gram(G, loose) == []
+    assert not hasattr(HERM2, "tolerance")
 
 
 @pytest.mark.parametrize("n, d, p, q", [(4, 2, 3, 5), (5, 1, 1, 1), (3, 3, 0, 2), (0, 2, 3, 1), (0, 1, 0, 0)])
