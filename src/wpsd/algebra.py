@@ -64,10 +64,6 @@ class Action:
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
-    @property
-    def points(self) -> int:
-        return self.table.shape[1]
-
 
 def validate_semigroup(S: StarSemigroup) -> list[str]:
     """All violated laws, each with witness indices; empty iff valid."""

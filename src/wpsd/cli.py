@@ -30,7 +30,6 @@ from .dilation import (
 )
 from .errors import SchemaError, WpsdError
 from .kernels import (
-    METHOD_BLOCK_PSD,
     STATUS_NOT_POSITIVE,
     STATUS_POSITIVE,
     hermitian_defect_kernel,
@@ -220,15 +219,9 @@ def task_validate(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
 
 def task_check_positivity(p: Problem, opts, art: Artifacts) -> tuple[dict, int]:
     kernel, _, _ = art.lifted
+    # The strong verdict computes the block spectrum the kernel keeps; the weak one reads it.
+    min_eig, psd = strong_positivity(kernel, tols=opts["tolerances"])
     verdict = weak_positivity(kernel, restarts=opts["restarts"], seed=opts["seed"], tols=opts["tolerances"])
-    # The weak verdict has already formed the block matrix unless it was
-    # decided before that (non-Hermitian, empty or scalar kernels); it is
-    # block-PSD exactly when that certified it.
-    min_eig = verdict.diagnostics.get("block_min_eig")
-    if min_eig is None:
-        min_eig, psd = strong_positivity(kernel, tols=opts["tolerances"])
-    else:
-        psd = verdict.method == METHOD_BLOCK_PSD
     out = {"weak": sz.verdict_to_json(verdict), "strong": {"min_eig": min_eig, "is_psd": psd}}
     if verdict.status == STATUS_POSITIVE:
         return out, 0

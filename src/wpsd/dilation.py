@@ -17,6 +17,7 @@ unique.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,11 @@ from .errors import (
 )
 from .kernels import (
     Kernel,
+    _forms,
+    _random_starts,
     block_matrix,
     direction_form,
+    is_hermitian,
     is_invariant,
     pair_value,
     quad_form,
@@ -181,10 +185,9 @@ def build_kolmogorov(
     the tolerance differs; with a ``pivot_order`` it only says that some
     pivot lies within a decade of the cut.
     """
+    if not is_hermitian(k, tols):
+        raise NotHermitianError(f"kernel Hermitian defect {k.hermitian_defect:.3e}")
     structural, scale = tols.structural, k.entry_scale
-    defect = k.hermitian_defect
-    if defect > structural * scale:
-        raise NotHermitianError(f"kernel Hermitian defect {defect:.3e}")
     m, d = k.m, k.d
     C = k.table.transpose(1, 0, 2, 3).reshape(m, m * d * d).T.copy()  # C[:, x] = k(., x)
     # Pivots are chosen on the columns scaled by the power of two just above
@@ -216,8 +219,7 @@ def build_kolmogorov(
         return float(lam.min(initial=np.inf))
 
     # Per-point probes of the quadratic forms the construction relies on.
-    points = np.arange(m)
-    probe_min = probe(k.table[points, points], np.eye(m, dtype=complex), "diagonal value")
+    probe_min = probe(k.table[np.arange(m), np.arange(m)], np.eye(m, dtype=complex), "diagonal value")
 
     if n == 0:
         gram = Kernel(k.space, np.zeros((0, 0, d, d), dtype=complex))
@@ -232,7 +234,7 @@ def build_kolmogorov(
     # Column x is the residual coefficient vector e_x - sum_i V[x, i] e_{p_i}.
     R = np.eye(m, dtype=complex)
     R[pivots] -= W
-    forms = pair_coords(k.table, R, R)[points, points]
+    forms = _forms(k.table, R.T)
     diagnostics["probe_min"] = min(probe_min, probe(forms, R, "residual coefficient form"))
 
     gram = Kernel(k.space, k.table[np.ix_(pivots, pivots)])
@@ -326,17 +328,16 @@ def build_representation(
     return StarRepresentation(mats, mult, star, inter, {"pushforward_defect": push})
 
 
-def _restricted_pencil_max(num: np.ndarray, den: np.ndarray, rel_tol: float, den_eig=None):
+def _restricted_pencil_max(num: np.ndarray, den_eig, rel_tol: float):
     """Largest generalized eigenvalue of ``(num, den)`` on the range of ``den``.
 
-    ``den`` must be (numerically) PSD; directions with eigenvalue at or
-    below ``rel_tol`` times the largest are treated as null and skipped.
-    ``den_eig`` is the ``eigh`` of the Hermitian part of ``den`` when the
-    caller already has it.  Returns ``(value, vector)`` or ``None`` when the
-    range is trivial.
+    ``den_eig`` is the ``eigh`` of the Hermitian part of ``den``, which must
+    be (numerically) PSD; directions with eigenvalue at or below ``rel_tol``
+    times the largest are treated as null and skipped.  Returns
+    ``(value, vector)`` or ``None`` when the range is trivial.
     """
     num = hermitian_part(num)
-    w, U = np.linalg.eigh(hermitian_part(den)) if den_eig is None else den_eig
+    w, U = den_eig
     lam_max = float(w.max()) if w.size else 0.0
     if lam_max <= 0.0:
         return None
@@ -372,6 +373,8 @@ def bound_constant(
     eigenvalue of the block matrices' pencil on the range of the
     denominator, a valid domination constant whenever the kernel is
     invariant and weakly positive.  For scalar kernels the two coincide.
+    The denominator's spectrum is ``k.block_eigh``, computed once per kernel
+    whatever the number of elements bounded.
 
     The ``m`` canonical starts and ``restarts`` random ones are a budget,
     and each climb takes at most ``max_iters`` steps, which must be at least 1.
@@ -392,10 +395,9 @@ def bound_constant(
     tol, scale = tols.structural, k.entry_scale
     rel = max(tol, 1e-12)
 
-    B = hermitian_part(block_matrix(k))
     B_a = hermitian_part(block_matrix(k_a))
-    w_den, U_den = np.linalg.eigh(B)
-    res = _restricted_pencil_max(B_a, B, rel, (w_den, U_den))
+    w_den, U_den = k.block_eigh
+    res = _restricted_pencil_max(B_a, k.block_eigh, rel)
     if res is None:
         raise ZeroDenominatorError("all quadratic forms of the kernel vanish")
     upper_sq, _ = res
@@ -414,18 +416,21 @@ def bound_constant(
             return -np.inf
         return pair_value(k_a, t, h).real / den
 
+    def pencil(num, den):
+        return _restricted_pencil_max(num, np.linalg.eigh(hermitian_part(den)), rel)
+
     def climb(t):
         nonlocal best_ratio, best_pair
         t = t / np.linalg.norm(t)
         h = None
         prev = -np.inf
         for _ in range(max_iters):
-            step = _restricted_pencil_max(quad_form(k_a, t), quad_form(k, t), rel)
+            step = pencil(quad_form(k_a, t), quad_form(k, t))
             if step is None:
                 return
             _, h = step
             h = h / np.linalg.norm(h)
-            step = _restricted_pencil_max(direction_form(k_a, h), direction_form(k, h), rel)
+            step = pencil(direction_form(k_a, h), direction_form(k, h))
             if step is None:
                 return
             val, t = step
@@ -437,19 +442,12 @@ def bound_constant(
         if r > best_ratio:
             best_ratio, best_pair = r, (t, h)
 
-    def starts():
-        yield from np.eye(m, dtype=complex)
-        seeds = np.random.SeedSequence(seed)
-        for _ in range(restarts):
-            rng = np.random.default_rng(seeds.spawn(1)[0])
-            yield rng.standard_normal(m) + 1j * rng.standard_normal(m)
-
     # With a PSD denominator whose null space the numerator does not see, no
     # product-direction ratio exceeds ``upper_sq``: once one reaches it, the
     # bracket is closed and no later climb can do better.
     closable = not indefinite and null_leak <= tol * scale
     climbs = 0
-    for t in starts():
+    for t in itertools.chain(np.eye(m, dtype=complex), _random_starts(m, restarts, seed)):
         climb(t)
         climbs += 1
         if closable and best_ratio >= upper_sq * (1.0 - rel):

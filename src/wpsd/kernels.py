@@ -65,7 +65,14 @@ DESCENT_CHUNK = 16
 
 @dataclass(frozen=True)
 class Kernel:
-    """An ``m x m`` table of value-space elements; ``table[x, y] = k(x, y)``."""
+    """An ``m x m`` table of value-space elements; ``table[x, y] = k(x, y)``.
+
+    The table is read-only, so four facts about it are kept once computed:
+    ``entry_scale``, ``hermitian_defect``, and the spectrum of the Hermitian
+    part of ``block_matrix``, as ``block_min_eig`` (the positivity verdicts)
+    and ``block_eigh`` (``dilation.bound_constant``).  A run hands one
+    ``Kernel`` to every task, so each is computed at most once per run.
+    """
 
     space: ZSpaceDescriptor
     table: np.ndarray = field()  # (m, m, d, d)
@@ -93,7 +100,7 @@ class Kernel:
 
     @cached_property
     def entry_scale(self) -> float:
-        """``zspace.entry_scale`` of the table, kept: the table is read-only."""
+        """``zspace.entry_scale`` of the table."""
         return entry_scale(self.table)
 
     @cached_property
@@ -101,6 +108,16 @@ class Kernel:
         """Max entrywise gap between ``k(x, y)`` and ``k(y, x)*``, kept like ``entry_scale``."""
         t = self.table
         return float(np.max(np.abs(t - involution(t).transpose(1, 0, 2, 3)), initial=0.0))
+
+    @cached_property
+    def block_min_eig(self) -> float:
+        """Least eigenvalue of the Hermitian part of ``block_matrix``; 0.0 when ``m = 0``."""
+        return float(np.linalg.eigvalsh(hermitian_part(block_matrix(self))).min()) if self.m else 0.0
+
+    @cached_property
+    def block_eigh(self):
+        """``numpy.linalg.eigh`` of the Hermitian part of ``block_matrix``."""
+        return np.linalg.eigh(hermitian_part(block_matrix(self)))
 
 
 @dataclass(frozen=True)
@@ -206,11 +223,7 @@ def strong_positivity(k: Kernel, tols: Tolerances = Tolerances()):
     scale.  Assumes a Hermitian kernel (the block matrix is then Hermitian);
     this is the vector-coefficient notion that implies weak positivity.
     """
-    if k.m == 0:
-        return 0.0, True
-    B = block_matrix(k)
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(B)).min())
-    return min_eig, bool(min_eig >= -tols.structural * k.entry_scale)
+    return k.block_min_eig, bool(k.block_min_eig >= -tols.structural * k.entry_scale)
 
 
 def verify_witness(k: Kernel, w: Witness, threshold: float) -> bool:
@@ -299,8 +312,9 @@ def weak_positivity(
 
     Pipeline: non-Hermitian kernels are immediately refuted with a two-point
     witness; for scalar kernels the verdict is exact from the eigenvalues of
-    the ``m x m`` matrix; if the full block matrix is PSD the kernel is
-    certified positive (positivity on product directions follows); otherwise
+    the ``m x m`` matrix, the block matrix; if the block matrix is PSD (read
+    from ``strong_positivity``) the kernel is certified positive (positivity
+    on product directions follows); otherwise
     an alternating eigenvector descent searches for a product direction with
     a negative form.  Search failure yields ``undetermined``, never a
     positive certificate.
@@ -352,28 +366,23 @@ def weak_positivity(
     thresh = tols.structural * k.entry_scale
     diagnostics: dict = {"restarts": 0, "non_converged": 0}
 
-    defect = k.hermitian_defect
-    if defect > thresh:
-        diagnostics["hermitian_defect"] = defect
+    if not is_hermitian(k, tols):
+        diagnostics["hermitian_defect"] = k.hermitian_defect
         w = _nonhermitian_witness(k, thresh)
         return PositivityVerdict(STATUS_NOT_POSITIVE, METHOD_WITNESS, w, w.value, diagnostics)
 
     if k.m == 0:
         return PositivityVerdict(STATUS_POSITIVE, METHOD_BLOCK_PSD, None, 0.0, diagnostics)
 
-    if k.d == 1:
-        K = hermitian_part(k.table[:, :, 0, 0])
-        w, v = np.linalg.eigh(K)
-        lam = float(w[0])
-        if lam >= -thresh:
-            return PositivityVerdict(STATUS_POSITIVE, METHOD_SCALAR, None, lam, diagnostics)
-        wit = Witness(v[:, 0], np.ones(1, dtype=complex), lam, "negative")
-        return PositivityVerdict(STATUS_NOT_POSITIVE, METHOD_SCALAR, wit, lam, diagnostics)
-
     min_eig, psd = strong_positivity(k, tols)
     diagnostics["block_min_eig"] = min_eig
     if psd:
-        return PositivityVerdict(STATUS_POSITIVE, METHOD_BLOCK_PSD, None, min_eig, diagnostics)
+        method = METHOD_SCALAR if k.d == 1 else METHOD_BLOCK_PSD
+        return PositivityVerdict(STATUS_POSITIVE, method, None, min_eig, diagnostics)
+    if k.d == 1:  # the block matrix is the kernel's matrix, and its least eigenvector a witness
+        w, v = np.linalg.eigh(hermitian_part(k.table[:, :, 0, 0]))
+        wit = Witness(v[:, 0], np.ones(1, dtype=complex), float(w[0]), "negative")
+        return PositivityVerdict(STATUS_NOT_POSITIVE, METHOD_SCALAR, wit, wit.value, diagnostics)
 
     Q = _column_basis(k)
     kc = pair_coords(k.table, Q, Q)  # M_kc(u) = M(Q u)

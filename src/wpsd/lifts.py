@@ -331,8 +331,6 @@ class GnsInstance:
 
     kernel: Kernel
     action: Action
-    cyclic_point: int
-    tag: str = "gns"
 
 
 def gns_instance(S: StarSemigroup, phi, space: ZSpaceDescriptor | None = None) -> GnsInstance:
@@ -347,7 +345,7 @@ def gns_instance(S: StarSemigroup, phi, space: ZSpaceDescriptor | None = None) -
     if space is None:
         space = scalar_space() if phi.shape[1] == 1 else hermitian_space(phi.shape[1])
     table = phi[S.mult[S.inv, :]]
-    return GnsInstance(Kernel(space, table), left_translation_action(S), int(S.unit))
+    return GnsInstance(Kernel(space, table), left_translation_action(S))
 
 
 def gram_semigroup_map(S: StarSemigroup, rep: np.ndarray, factors: np.ndarray) -> SemigroupMapT:

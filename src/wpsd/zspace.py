@@ -98,7 +98,8 @@ def entry_scales(tables) -> np.ndarray:
     Only entries whose Frobenius norm is within ``sqrt(d)`` of their table's
     largest can hold its largest operator norm (``|A|_F / sqrt(d) <= |A|_2
     <= |A|_F``), so only those are decomposed.  The norms are taken on each
-    table scaled by a power of two: exact, and safe from overflow.
+    table scaled by a power of two: exact, and safe from overflow.  An
+    infinite scale, which would let every relative check pass, raises ``SchemaError``.
     """
     t = np.asarray(tables, dtype=complex)
     if t.shape[1] == 0:
@@ -108,7 +109,10 @@ def entry_scales(tables) -> np.ndarray:
     near = fro >= fro.max(axis=1, keepdims=True) / np.sqrt(t.shape[-1]) * (1.0 - 1e-12)
     top = np.zeros(near.shape)
     top[near] = np.linalg.svd(t[near], compute_uv=False)[:, 0]
-    return 1.0 + top.max(axis=1)
+    scales = 1.0 + top.max(axis=1)
+    if not np.all(np.isfinite(scales)):
+        raise SchemaError("an entry's operator norm overflows the largest float")
+    return scales
 
 
 @dataclass(frozen=True)

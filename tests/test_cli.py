@@ -31,7 +31,7 @@ from wpsd import (
 from wpsd import cli
 from wpsd import serialize as sz
 from wpsd.cli import COMMANDS, main, parse_problem
-from wpsd.zspace import entry_scale
+from wpsd.zspace import entry_scale, hermitian_part
 
 from test_kernels import circulant_kernel, scalar_kernel, swap_kernel
 
@@ -115,21 +115,57 @@ def test_check_positivity_exit_codes(tmp_path, capsys):
     "kernel",
     [
         scalar_kernel([[2, 1], [1, 2]]),
+        random_block_psd_kernel(8, 1, 8, seed=2),
         scalar_kernel([[1, 2], [2, 1]]),
         swap_kernel(),
         random_block_psd_kernel(4, 2, 3, seed=5),
         Kernel(hermitian_space(2), np.diag([1.0, -1.0]).reshape(1, 1, 2, 2) + 0j),
         Kernel(hermitian_space(2), np.arange(16.0).reshape(2, 2, 2, 2) + 0j),  # not Hermitian
     ],
-    ids=["scalar-psd", "scalar-indefinite", "swap", "block-psd", "one-point-indefinite", "non-hermitian"],
+    ids=["scalar-psd", "scalar-psd-random", "scalar-indefinite", "swap", "block-psd", "one-point-indefinite", "non-hermitian"],
 )
 def test_check_positivity_reports_the_strong_verdict(tmp_path, capsys, kernel):
     # The weak verdict's block eigenvalue, when it has one, is the strong one.
     prob = {"space": sz.space_to_json(kernel.space), "kernel": sz.kernel_to_json(kernel)}
     main(["check-positivity", write_problem(tmp_path, "p.json", prob), "--no-timestamp"])
-    strong = json.loads(capsys.readouterr().out)["tasks"]["check-positivity"]["strong"]
+    task = json.loads(capsys.readouterr().out)["tasks"]["check-positivity"]
+    strong, weak = task["strong"], task["weak"]
     min_eig, psd = strong_positivity(kernel)
     assert strong == {"min_eig": min_eig, "is_psd": psd}
+    if kernel.d == 1 and psd:  # a positive scalar verdict reads the same eigenvalue
+        assert weak["best_found"] == strong["min_eig"]
+
+
+def test_check_positivity_decomposes_a_scalar_kernel_once(tmp_path, capsys, monkeypatch):
+    # The strong and the weak verdict read the one spectrum the kernel keeps.
+    k = random_block_psd_kernel(6, 1, 6, seed=3)
+    K = hermitian_part(k.table[:, :, 0, 0])
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == K.shape and np.array_equal(a, K):
+                calls.append(_name)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    prob = {"space": sz.space_to_json(k.space), "kernel": sz.kernel_to_json(k)}
+    assert main(["check-positivity", write_problem(tmp_path, "p.json", prob), "--no-timestamp"]) == 0
+    assert calls == ["eigvalsh"]
+
+
+def test_all_refuses_a_kernel_whose_entry_scale_overflows(tmp_path, capsys):
+    # Not Hermitian (defect 1e308); an infinite entry scale would make every
+    # relative tolerance infinite and certify the kernel positive.
+    k = Kernel(hermitian_space(2), np.array([[1.7e308, 1e308], [0.0, 1.7e308]]).reshape(1, 1, 2, 2))
+    prob = {
+        "space": sz.space_to_json(k.space),
+        "kernel": sz.kernel_to_json(k),
+        "tasks": ["validate", "check-positivity", "decompose"],
+    }
+    out = tmp_path / "r.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--no-timestamp", "--out", str(out)]) == 3
+    assert "overflows" in capsys.readouterr().err and not out.exists()
 
 
 def test_decompose_holds_cone_probes_to_the_structural_tolerance(tmp_path, capsys):

@@ -357,7 +357,7 @@ def full_search_bound(k, S, A, alpha, restarts=16, max_iters=100, seed=0, tol=1e
     rel = max(tol, 1e-12)
     B = hermitian_part(block_matrix(k))
     B_a = hermitian_part(block_matrix(k_a))
-    upper_sq, _ = _restricted_pencil_max(B_a, B, rel, np.linalg.eigh(B))
+    upper_sq, _ = _restricted_pencil_max(B_a, np.linalg.eigh(B), rel)
     m = k.m
     best_ratio = -np.inf
     best_pair = None
@@ -374,12 +374,14 @@ def full_search_bound(k, S, A, alpha, restarts=16, max_iters=100, seed=0, tol=1e
         h = None
         prev = -np.inf
         for _ in range(max_iters):
-            step = _restricted_pencil_max(quad_form(k_a, t), quad_form(k, t), rel)
+            den = np.linalg.eigh(hermitian_part(quad_form(k, t)))
+            step = _restricted_pencil_max(quad_form(k_a, t), den, rel)
             if step is None:
                 return
             _, h = step
             h = h / np.linalg.norm(h)
-            step = _restricted_pencil_max(direction_form(k_a, h), direction_form(k, h), rel)
+            den = np.linalg.eigh(hermitian_part(direction_form(k, h)))
+            step = _restricted_pencil_max(direction_form(k_a, h), den, rel)
             if step is None:
                 return
             val, t = step
@@ -732,3 +734,27 @@ def test_representation_laws_on_random_invariant_kernels(g, q, d, seed):
     rho = rk_representation(build_rk(dec), S, lk.action, tols)
     for rep in (pi, rho):
         assert max(rep.mult_defect, rep.star_defect, rep.intertwine_defect) <= tols.report
+
+
+def test_bounds_of_every_element_share_one_block_eigh(monkeypatch):
+    # The denominator of every element's pencil is the kernel's own block
+    # matrix, whose eigh the kernel keeps.
+    S = cyclic_group(6)
+    rot = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+    chars = np.exp(2j * np.pi * np.outer(np.arange(6), [1, 2]) / 6)  # two characters of the group
+    phi = np.einsum("ab,sb,cb->sac", rot, chars * [1.0, 0.5], rot)  # a positive-type function
+    inst = gns_instance(S, phi)
+    B = hermitian_part(block_matrix(inst.kernel))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == B.shape and np.array_equal(a, B):
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for a in range(S.size):
+        b = bound_constant(inst.kernel, S, inst.action, a)
+        assert b.lower <= b.upper + 1e-9
+    assert calls == [(12, 12)]

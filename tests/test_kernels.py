@@ -33,11 +33,13 @@ from wpsd.kernels import (
     STATUS_POSITIVE,
     STATUS_UNDETERMINED,
     _column_basis,
+    _forms,
     direction_form,
     pair_value,
     quad_form,
     verify_witness,
 )
+from wpsd.zspace import pair_coords
 
 
 def scalar_kernel(rows):
@@ -543,3 +545,23 @@ def test_random_kernel_determinism():
     assert is_hermitian(k1)
     _, psd = strong_positivity(k1)
     assert psd
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.integers(0, 6),
+    d=st.integers(1, 3),
+    s=st.integers(0, 5),
+    exponent=st.integers(-300, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_forms_are_the_diagonal_of_all_pairings(m, d, s, exponent, seed):
+    # build_kolmogorov's residual probe reads M(t) from the stacked forms; they
+    # must be the diagonal of the pairings pair_coords forms for every pair.
+    rng = np.random.default_rng(seed)
+    table = 2.0**exponent * (rng.standard_normal((m, m, d, d)) + 1j * rng.standard_normal((m, m, d, d)))
+    k = Kernel(hermitian_space(d), table)
+    T = rng.standard_normal((s, m)) + 1j * rng.standard_normal((s, m))
+    T /= np.maximum(np.linalg.norm(T, axis=1, keepdims=True), 1.0)
+    diagonal = pair_coords(k.table, T.T, T.T)[np.arange(s), np.arange(s)]
+    np.testing.assert_allclose(_forms(k.table, T), diagonal, rtol=0, atol=1e-12 * k.entry_scale)

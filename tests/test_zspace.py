@@ -20,7 +20,7 @@ from wpsd import (
     ve_seminorm,
 )
 from wpsd.kernels import random_block_psd_kernel
-from wpsd.zspace import Tolerances, pair_coords, validate_gram
+from wpsd.zspace import Tolerances, entry_scale, pair_coords, validate_gram
 
 HERM2 = hermitian_space(2)
 
@@ -232,3 +232,14 @@ def test_tolerances_validate_each_field():
     for bad in (0.0, -1e-9, float("inf"), float("nan"), 10**400, True, "1e-8"):
         with pytest.raises(SchemaError):
             Tolerances(rank=bad)
+
+
+def test_an_entry_scale_that_overflows_is_refused():
+    # The operator norm of this entry exceeds the largest float: every
+    # tolerance relative to it would be infinite, so every check would pass.
+    entry = np.array([[1.7e308, 1e308], [0.0, 1.7e308]])
+    with pytest.raises(SchemaError, match="overflows"):
+        entry_scale(entry)
+    with pytest.raises(SchemaError, match="overflows"):
+        Kernel(HERM2, entry.reshape(1, 1, 2, 2)).entry_scale
+    assert entry_scale(np.diag([1e308, 1e308])) == 1.0 + 1e308
