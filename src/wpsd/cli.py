@@ -352,24 +352,26 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+PARSER = argparse.ArgumentParser(
+    prog="wpsd",
+    description="Verify and decompose weakly positive semidefinite kernels.",
+)
+PARSER.add_argument("command", choices=COMMANDS)
+PARSER.add_argument("problem", help="path to a problem JSON file")
+PARSER.add_argument("--out", help="write the report here instead of stdout")
+PARSER.add_argument("--seed", type=int, default=None)
+PARSER.add_argument("--restarts", type=int, default=None)
+PARSER.add_argument("--tol", type=float, default=None, help="report pass/fail tolerance")
+PARSER.add_argument(
+    "--no-timestamp",
+    action="store_true",
+    help="omit timestamp and timings so identical inputs give identical bytes "
+    "(at a fixed BLAS thread count)",
+)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wpsd",
-        description="Verify and decompose weakly positive semidefinite kernels.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("problem", help="path to a problem JSON file")
-    parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--restarts", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None, help="report pass/fail tolerance")
-    parser.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit timestamp and timings so identical inputs give identical bytes "
-        "(at a fixed BLAS thread count)",
-    )
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     try:
         with open(args.problem) as fh:

@@ -253,6 +253,11 @@ def verify_linearisation(dec: KolmogorovDecomposition, k: Kernel) -> float:
     return float(np.max(np.abs(linearised_kernel(dec).table - k.table))) if k.m else 0.0
 
 
+#: Complex entries of the largest intermediate of one chunk of elements in
+#: ``_representation_defects``; the defects do not depend on it.
+LAW_CHUNK = 2**20
+
+
 def _representation_defects(dec: KolmogorovDecomposition, act_table, S: StarSemigroup):
     """The push-forward matrices ``pi(s)[:, i] = V(s.p_i)`` and their law defects.
 
@@ -261,6 +266,14 @@ def _representation_defects(dec: KolmogorovDecomposition, act_table, S: StarSemi
     column ``i`` of ``pi(ab) - pi(a) pi(b)`` is
     ``V(ab.p_i) - V(a.(b.p_i)) - inter_a[:, b.p_i]``, and those columns of
     ``inter_a = pi(a) V^T - V[a.]^T`` repeat a point at most ``mu`` times.
+
+    The elements are taken in chunks whose largest intermediate holds at
+    most ``LAW_CHUNK`` complex entries, each law one stacked product per
+    chunk.  ``||inter_a||_2`` is the square root of the largest eigenvalue
+    of the ``n x n`` Gram ``X X^*`` of ``X = inter_a / max|inter_a|``, one
+    stacked ``eigvalsh`` per chunk: the scaling keeps the Gram's entries at
+    most ``m`` in size, so it neither overflows nor underflows where the
+    norm matters, and costs the norm a few units of rounding.
     """
     coords, images = dec.V, act_table[:, list(dec.pivots)]  # images[s, i] = s.p_i
     mats = np.ascontiguousarray(coords[images].transpose(0, 2, 1))
@@ -271,17 +284,24 @@ def _representation_defects(dec: KolmogorovDecomposition, act_table, S: StarSemi
     mu = int(np.bincount((np.arange(g)[:, None] * m + images).ravel()).max())
     rows = dec.gram.table.reshape(n, n * d * d)  # [a, (j, c, e)]
     cols = dec.gram.table.transpose(0, 2, 3, 1).reshape(n * d * d, n)  # [(i, c, e), b]
+    step = max(1, LAW_CHUNK // (n * max(n * d * d, m)))
     mult = star = inter = 0.0
-    for a in range(g):
-        lhs = (np.conj(mats[a]).T @ rows).reshape(n, n, d, d)
-        rhs = (cols @ mats[S.inv[a]]).reshape(n, d, d, n).transpose(0, 3, 1, 2)
+    for start in range(0, g, step):
+        a = np.arange(start, min(start + step, g))
+        lhs = (np.conj(mats[a]).transpose(0, 2, 1) @ rows).reshape(-1, n, n, d, d)
+        rhs = (cols @ mats[S.inv[a]]).reshape(-1, n, d, d, n).transpose(0, 1, 4, 2, 3)
         star = max(star, float(np.max(np.abs(lhs - rhs))))
-        inter_a = mats[a] @ coords.T - coords[act_table[a]].T
-        inter = max(inter, float(np.max(np.abs(inter_a))))
-        direct, composed = images[S.mult[a]], act_table[a][images]  # [b, i] = ab.p_i, a.(b.p_i)
-        broken = np.flatnonzero(np.any(direct != composed, axis=1))
-        law = np.linalg.norm(coords[direct[broken]] - coords[composed[broken]], axis=(1, 2)).max(initial=0.0)
-        mult = max(mult, np.sqrt(mu) * float(np.linalg.norm(inter_a, 2)) + float(law))
+        gap = mats[a] @ coords.T - coords[act_table[a]].transpose(0, 2, 1)  # [a] = inter_a
+        top = np.max(np.abs(gap), axis=(1, 2))
+        inter = max(inter, float(top.max()))
+        X = gap / np.where(top > 0, top, 1.0)[:, None, None]
+        lam = np.linalg.eigvalsh(X @ np.conj(X).transpose(0, 2, 1))[:, -1]
+        norms = top * np.sqrt(np.maximum(lam, 0.0))
+        direct, composed = images[S.mult[a]], act_table[a][:, images]  # [a, b, i] = ab.p_i, a.(b.p_i)
+        ai, bi = np.nonzero(np.any(direct != composed, axis=2))
+        law = np.zeros(len(a))
+        np.maximum.at(law, ai, np.linalg.norm(coords[direct[ai, bi]] - coords[composed[ai, bi]], axis=(1, 2)))
+        mult = max(mult, float(np.max(np.sqrt(mu) * norms + law)))
     return mats, mult, star, inter
 
 

@@ -27,12 +27,24 @@ def carray_to_json(a) -> list:
 def carray_from_json(v, shape: tuple, name: str) -> np.ndarray:
     """Inverse of :func:`carray_to_json`: a finite complex array of ``shape``.
 
-    An empty list stands for any array with no entries.
+    An empty list stands for any array with no entries.  Leaves must be
+    JSON numbers: a string, a ``null`` or a table of booleans is refused.
+    A boolean among numbers is still read as 0 or 1, as numpy reads it,
+    unless the table also holds an integer beyond int64, which is read as
+    a float.
     """
     try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        a = np.asarray(v)
+    except ValueError as exc:
         raise SchemaError(f"{name} is not a rectangular table of [re, im] pairs") from exc
+    # Big integers, nulls and mixed leaves make an object array.
+    leaves = a.flat if a.dtype == object else ()
+    if a.dtype.kind in "USb" or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in leaves):
+        raise SchemaError(f"{name} is not a table of numbers")
+    try:
+        a = a.astype(float, copy=False)
+    except OverflowError as exc:
+        raise SchemaError(f"{name} has entries beyond the largest float") from exc
     if a.size == 0 and 0 in shape:
         try:
             return np.zeros(shape, dtype=complex)
@@ -262,19 +274,38 @@ def _plain(x):
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
+def _leaf_texts(arrays) -> dict:
+    """The text of every leaf of each array, by the array's ``id``, in ``reshape(-1)`` order.
+
+    The arrays are grouped by dtype, and one ``np.unique`` per group finds
+    its distinct values, so each is formatted once with the C encoder.
+    Values are told apart by their bits and their dtype, so ``-0.0`` and
+    ``0.0`` stay apart, NaN needs no comparison, and an integer never takes
+    the text of a float with the same bits.
+    """
+    groups: dict = {}
+    for a in {id(a): a for a in arrays if a.size}.values():
+        groups.setdefault(a.dtype, []).append(a)
+    out = {}
+    for dtype, group in groups.items():
+        flat = np.concatenate([a.reshape(-1) for a in group])
+        bits, inverse = np.unique(flat.view(f"u{dtype.itemsize}"), return_inverse=True)
+        values = np.array(_compact(bits.view(dtype).tolist())[1:-1].split(","), dtype=object)
+        texts = values[inverse]
+        for a, stop in zip(group, np.cumsum([a.size for a in group])):
+            out[id(a)] = texts[stop - a.size : stop]
+    return out
+
+
+def _array_text(a: np.ndarray, level: int, texts) -> str:
     """``a.tolist()`` as ``json.dumps(..., indent=2)`` writes it at nesting ``level``.
 
-    Each distinct value is formatted once.  Values are told apart by their
-    bits, so ``-0.0`` and ``0.0`` stay apart and NaN needs no comparison.
-    After a leaf that closes ``k`` axes comes the separator
+    ``texts`` holds the text of each leaf, in ``reshape(-1)`` order.  After
+    a leaf that closes ``k`` axes comes the separator
     ``"]" * k + "," + "[" * k`` in its indented form.
     """
     if a.size == 0:
         return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
-    flat = a.reshape(-1)
-    bits, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
-    texts = np.array(_compact(bits.view(flat.dtype).tolist())[1:-1].split(","), dtype=object)
     pads = ["\n" + "  " * (level + j) for j in range(a.ndim + 1)]
     opens = [pads[j] + "[" for j in range(1, a.ndim)]
     shuts = [pads[j] + "]" for j in range(a.ndim - 1, -1, -1)]
@@ -282,11 +313,12 @@ def _array_text(a: np.ndarray, level: int) -> str:
     closed = np.zeros(a.size, dtype=np.intp)  # axes closed after each leaf, the last one aside
     for block in np.cumprod(a.shape[:0:-1]):  # leaves in one row, one matrix, ...
         closed[block - 1 :: block] += 1
-    parts = np.empty(2 * a.size, dtype=object)
-    parts[0::2] = texts[inverse]
-    parts[1::2] = np.array(seps, dtype=object)[closed]
+    parts = np.empty(2 * a.size + 1, dtype=object)
+    parts[0] = "".join(["[", *opens, pads[-1]])
+    parts[1::2] = texts
+    parts[2::2] = np.array(seps, dtype=object)[closed]
     parts[-1] = "".join(shuts)
-    return "".join(["[", *opens, pads[-1], *parts.tolist()])
+    return "".join(parts.tolist())
 
 
 def report_text(report) -> str:
@@ -294,15 +326,16 @@ def report_text(report) -> str:
 
     Every numeric table of a report is an ``np.ndarray`` of floats (``[re,
     im]`` pairs on the last axis) or of integers; :func:`_array_text` writes
-    it as its ``tolist()``, formatting each distinct value once with the C
-    encoder, so every number has the same text as ``json.dumps`` gives it.
-    Report arrays repeat their values: each representation matrix holds
-    entries of ``V``, and an invariant kernel has one value per element.
-    Dicts and lists are walked, scalars written by the C encoder.  A
-    container met twice at one depth, such as a payload shared by two
-    tasks, is written once.  Dict keys must be strings.
+    it as its ``tolist()``, and :func:`_leaf_texts` formats each distinct
+    value once per report with the C encoder, so every number has the same
+    text as ``json.dumps`` gives it.  Report arrays repeat their values:
+    each representation matrix holds entries of ``V``, and an invariant
+    kernel has one value per element.  Dicts and lists are walked, scalars
+    written by the C encoder; an array is written once the walk has met
+    every array.  A container met twice at one depth, such as a payload
+    shared by two tasks, is written once.  Dict keys must be strings.
     """
-    chunks: list[str] = []
+    chunks: list = []  # texts, and (array, level) for each array to write
     written: dict = {}  # (id(container), level) -> its slice of chunks
 
     def write(o, level: int):
@@ -315,7 +348,7 @@ def report_text(report) -> str:
             return
         start = len(chunks)
         if isinstance(o, np.ndarray):
-            chunks.append(_array_text(o, level))
+            chunks.append((o, level))
         elif not o:
             chunks.append("{}" if isinstance(o, dict) else "[]")
         elif isinstance(o, dict):
@@ -335,4 +368,13 @@ def report_text(report) -> str:
         chunks.append("\n" + "  " * level + closing)
 
     write(report, 0)
+    texts = _leaf_texts([c[0] for c in chunks if isinstance(c, tuple)])
+    arrays: dict = {}  # (id(array), level) -> its text
+    for i, c in enumerate(chunks):
+        if isinstance(c, tuple):
+            a, level = c
+            key = (id(a), level)
+            if key not in arrays:
+                arrays[key] = _array_text(a, level, texts.get(id(a)))
+            chunks[i] = arrays[key]
     return "".join(chunks)

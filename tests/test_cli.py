@@ -293,6 +293,9 @@ def _set(path, value):
         (["decompose"], _set(("options", "tolerances"), {"structural": 10**400})),
         (["bounds"], _set(("options", "elements"), [3])),
         (["bounds"], _set(("options", "elements"), ["1"])),
+        (["check-positivity"], _set(("kernel", "table", 0, 0, 0, 0, 0), "1")),
+        (["check-positivity"], _set(("kernel", "table", 1, 2, 0, 0, 1), None)),
+        (["validate"], _set(("kernel", "table"), [[[[[True, False]]]] * 3] * 3)),
     ],
     ids=[
         "mult-out-of-range-represent",
@@ -312,6 +315,9 @@ def _set(path, value):
         "tolerance-beyond-the-largest-float",
         "element-out-of-range",
         "element-not-an-integer",
+        "table-entry-a-numeric-string",
+        "table-entry-null",
+        "table-of-booleans",
     ],
 )
 def test_malformed_input_exits_3_without_report(tmp_path, tasks, mutate):
@@ -321,6 +327,15 @@ def test_malformed_input_exits_3_without_report(tmp_path, tasks, mutate):
     out = tmp_path / "report.json"
     assert main(["all", path, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["1", "1.0", None])
+def test_a_table_entry_that_is_no_number_is_refused_as_such(tmp_path, capsys, entry):
+    prob = circulant_problem(["check-positivity"])
+    prob["kernel"]["table"][0][0][0][0][0] = entry
+    out = tmp_path / "report.json"
+    assert main(["all", write_problem(tmp_path, "p.json", prob), "--out", str(out)]) == 3
+    assert "kernel table is not a table of numbers" in capsys.readouterr().err and not out.exists()
 
 
 def test_a_space_tolerance_is_refused_in_favour_of_the_run_options(tmp_path, capsys):

@@ -34,6 +34,7 @@ from wpsd import (
     unitary_equivalence,
     verify_linearisation,
 )
+import wpsd.dilation as dilation
 from wpsd.dilation import (
     KolmogorovDecomposition,
     _representation_defects,
@@ -712,6 +713,53 @@ def test_mult_defect_needs_the_multiplicity_factor():
     assert np.linalg.norm(inter, 2) == pytest.approx(2.0)
     assert exact == pytest.approx(2.0 * np.sqrt(2.0))
     assert mult >= exact * (1 - 1e-12)
+
+
+def loop_defects(dec, act, S):
+    """``(mult, star, inter)`` one element at a time, each ``||inter_a||_2`` an exact SVD."""
+    V, images, gram = dec.V, act[:, list(dec.pivots)], dec.gram.table
+    mats = V[images].transpose(0, 2, 1)
+    mu = max(int(np.bincount(row, minlength=V.shape[0]).max()) for row in images)
+    mult = star = inter = 0.0
+    for a in range(S.size):
+        lhs = np.einsum("ki,kjce->ijce", np.conj(mats[a]), gram)  # [pi(a) e_i, e_j]
+        rhs = np.einsum("ibce,bj->ijce", gram, mats[S.inv[a]])  # [e_i, pi(a*) e_j]
+        star = max(star, float(np.max(np.abs(lhs - rhs))))
+        gap = mats[a] @ V.T - V[act[a]].T
+        inter = max(inter, float(np.max(np.abs(gap))))
+        law = max(float(np.linalg.norm(V[images[S.mult[a, b]]] - V[act[a][images[b]]])) for b in range(S.size))
+        mult = max(mult, np.sqrt(mu) * float(np.linalg.norm(gap, 2)) + law)
+    return mult, star, inter
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e78])
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["group", "semigroup", "broken"])
+def test_stacked_law_defects_match_the_element_loop(monkeypatch, kind, per_chunk, scale):
+    # Coordinates scaled by 1e-160 give gaps of that order, whose Gram would
+    # underflow unscaled; scaled by 1e78 they give gaps of order 1e156, whose
+    # Gram would overflow.  A budget of a few elements per chunk makes the
+    # elements cross chunk boundaries.
+    rng = np.random.default_rng(per_chunk)
+    m, n, d = 5, 3, 2
+    if kind == "group":
+        S = cyclic_group(m)
+        act = np.array(S.mult)
+    elif kind == "semigroup":
+        S, act = transformation_semigroup(rng.integers(0, m, size=(2, m)))
+    else:
+        S = cyclic_group(4)
+        act = rng.integers(0, m, size=(S.size, m))
+    pivots = rng.permutation(m)[:n]
+    V = scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    F = rng.standard_normal((n, 2, d)) + 1j * rng.standard_normal((n, 2, d))
+    gram = Kernel(hermitian_space(d), np.einsum("ira,jrb->ijab", np.conj(F), F))
+    monkeypatch.setattr(dilation, "LAW_CHUNK", per_chunk * n * max(n * d * d, m))
+    _, mult, star, inter = _representation_defects(KolmogorovDecomposition(gram, pivots, V), act, S)
+    ref_mult, ref_star, ref_inter = loop_defects(KolmogorovDecomposition(gram, pivots, V), act, S)
+    assert inter == ref_inter
+    assert star == pytest.approx(ref_star, rel=1e-13, abs=0.0)
+    assert mult == pytest.approx(ref_mult, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)

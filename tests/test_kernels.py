@@ -117,6 +117,42 @@ def test_invariance_generic_fails():
     assert is_invariant(k, S, A) != []
 
 
+def invariance_reference(k, S, A, tol):
+    """Every ``(s, x, y, defect)`` with ``defect > tol``, one pair at a time, in ``s, y, x`` order."""
+    out = []
+    for s in range(S.size):
+        for y in range(k.m):
+            for x in range(k.m):
+                gap = k.table[y, A.table[s, x]] - k.table[A.table[S.inv[s], y], x]
+                defect = float(np.max(np.abs(gap)))
+                if defect > tol:
+                    out.append((s, x, y, defect))
+    return out
+
+
+@pytest.mark.parametrize("g, d", [(2, 1), (5, 1), (6, 2), (4, 3)])
+def test_is_invariant_matches_the_per_pair_loop(g, d):
+    # A GNS kernel phi[s* t] under left translation is exactly invariant.
+    # Entries planted in one component of a block break it for some
+    # elements; the unit never breaks.  The planted gaps lie on either side
+    # of the tolerance.
+    S = cyclic_group(g)
+    A = left_translation_action(S)
+    rng = np.random.default_rng(g + 10 * d)
+    phi = rng.standard_normal((g, d, d)) + 1j * rng.standard_normal((g, d, d))
+    k = gns_instance(S, phi).kernel
+    tol = Tolerances().structural * k.entry_scale
+    assert is_invariant(k, S, A) == [] == invariance_reference(k, S, A, tol)
+    for plants in ([(0, 0, 3.0)], [(g - 1, 0, 2.0), (0, g - 1, 0.5)], [(1 % g, 2 % g, 1.5), (2 % g, 1 % g, -0.9)]):
+        table = k.table.copy()
+        for x, y, size in plants:
+            table[x, y, d - 1, 0] += size * tol
+        planted = Kernel(k.space, table)
+        found = is_invariant(planted, S, A)
+        assert found == invariance_reference(planted, S, A, tol)
+        assert found != []
+
+
 # --------------------------------------------------------------- positivity
 
 

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from wpsd import (
     Kernel,
     KolmogorovDecomposition,
     SemigroupMapT,
+    SchemaError,
     StarRepresentation,
     hermitian_space,
 )
@@ -139,8 +141,27 @@ ARRAY_TREES = st.recursive(
 @example(tree={"a": np.array([[5e-324, 1e308], [-5e-324, 5e-324]]), "b": [np.zeros((2, 0, 2))]})
 @example(tree=[np.arange(6, dtype=np.int64).reshape(1, 3, 2, 1), np.zeros((1, 1, 2))])
 @example(tree=np.zeros((0,), dtype=np.int64))
+# Values are shared across the arrays of a report, but never between dtypes
+# or between -0.0 and 0.0: 4607182418800017408 has the bits of 1.0.
+@example(tree=[np.array([[4607182418800017408, 1]]), np.array([[1.0, 4607182418800017408.0]])])
+@example(tree={"a": np.array([[-0.0, 1.0]]), "b": [np.array([[0.0, -0.0], [1.0, 0.0]])]})
 def test_report_text_writes_arrays_as_their_lists(tree):
     # The same containers again, at the same depth and one level deeper.
     shared = {"tree": tree, "again": tree, "deeper": [tree, {"tree": tree}]}
     for obj in (tree, shared):
         assert sz.report_text(obj) == json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+
+
+def test_tables_of_non_numbers_are_refused():
+    # json.load gives strings, nulls and booleans; numpy would read "2" as
+    # 2.0 and null as NaN.
+    for table in ([[["2", 0.0]]], [[["2.0", 0]]], [[[None, 0.0]]], [[[True, False]]], [[[2**70, True]]]):
+        with pytest.raises(SchemaError, match="not a table of numbers"):
+            sz.carray_from_json(table, (1, 1), "table")
+
+
+def test_tables_of_numbers_parse_with_big_integers_and_booleans_among_numbers():
+    assert sz.carray_from_json([[[2**70, -(2**64)]]], (1, 1), "table")[0, 0] == complex(2.0**70, -(2.0**64))
+    assert sz.carray_from_json([[[True, 0.5]]], (1, 1), "table")[0, 0] == 1 + 0.5j
+    with pytest.raises(SchemaError, match="beyond the largest float"):
+        sz.carray_from_json([[[10**400, 0]]], (1, 1), "table")
